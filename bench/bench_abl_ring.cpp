@@ -130,11 +130,9 @@ std::vector<std::uint32_t> derive_periods() {
 }
 
 // Descriptor-id derivation through the lane-batched kernel
-// (crypto/sha1_batch.hpp). cache:0 hits the batch cold path on every
-// call; cache:1 measures the memoized path (all hits after the first
-// iteration).
+// (crypto/sha1_batch.hpp). The multi-period batch never consults the
+// memo, so every call takes the lane path.
 void BM_DeriveDescriptorIds(benchmark::State& state) {
-  const util::MemoEnabledGuard cache_guard(state.range(0) != 0);
   const std::vector<crypto::PermanentId> pids = derive_pids();
   const std::vector<std::uint32_t> periods = derive_periods();
   for (auto _ : state) {
@@ -146,7 +144,7 @@ void BM_DeriveDescriptorIds(benchmark::State& state) {
     benchmark::DoNotOptimize(sink);
   }
 }
-BENCHMARK(BM_DeriveDescriptorIds)->Arg(0)->Arg(1)->ArgName("cache");
+BENCHMARK(BM_DeriveDescriptorIds);
 
 // Oracle: the scalar midstate-fork derivation, one period at a time —
 // the pre-batch implementation, uncached.
@@ -202,7 +200,7 @@ void record_index_stats() {
   bench::report().set_index_enabled(dirauth::ring_index_enabled());
   bench::report().set_index_stat("derive_descriptor_ids",
                                  real_seconds("BM_DeriveDescriptorIdsOracle"),
-                                 real_seconds("BM_DeriveDescriptorIds/cache:0"));
+                                 real_seconds("BM_DeriveDescriptorIds"));
   bench::report().set_index_stat("ring_lookup",
                                  real_seconds("BM_RingLookupOracle"),
                                  real_seconds("BM_RingLookup/cache:0"));

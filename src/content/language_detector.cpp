@@ -9,11 +9,39 @@
 
 namespace torsim::content {
 
-void LanguageDetector::extract_ngrams(std::string_view text,
-                                      std::vector<std::string>& out) {
-  // Byte-level n-grams, n = 1..3, over a lowercased, space-normalized
-  // copy. Byte n-grams make multi-byte UTF-8 scripts (Cyrillic, CJK,
-  // Arabic) highly distinctive without any Unicode machinery.
+namespace {
+
+constexpr std::size_t kMaxGram = 3;
+
+std::uint32_t pack_gram(std::string_view norm, std::size_t at,
+                        std::size_t n) {
+  std::uint32_t gram = static_cast<std::uint32_t>(n) << 24;
+  for (std::size_t k = 0; k < n; ++k)
+    gram |= std::uint32_t{static_cast<unsigned char>(norm[at + k])}
+            << (8 * k);
+  return gram;
+}
+
+/// Calls `visit(gram)` for every 1..3-byte n-gram of `norm` that is not
+/// all spaces: all 1-grams left to right, then all 2-grams, then all
+/// 3-grams.
+template <typename Visit>
+void for_each_gram(std::string_view norm, Visit&& visit) {
+  for (std::size_t n = 1; n <= kMaxGram; ++n) {
+    const std::uint32_t blank = pack_gram("   ", 0, n);
+    for (std::size_t i = 0; i + n <= norm.size(); ++i) {
+      const std::uint32_t gram = pack_gram(norm, i, n);
+      if (gram != blank) visit(gram);
+    }
+  }
+}
+
+}  // namespace
+
+std::string LanguageDetector::normalize(std::string_view text) {
+  // Byte-level n-grams over a lowercased, space-normalized copy. Byte
+  // n-grams make multi-byte UTF-8 scripts (Cyrillic, CJK, Arabic)
+  // highly distinctive without any Unicode machinery.
   std::string norm;
   norm.reserve(text.size() + 2);
   norm.push_back(' ');
@@ -34,19 +62,23 @@ void LanguageDetector::extract_ngrams(std::string_view text,
     }
   }
   if (!last_space) norm.push_back(' ');
-
-  for (std::size_t n = 1; n <= 3; ++n) {
-    if (norm.size() < n) continue;
-    for (std::size_t i = 0; i + n <= norm.size(); ++i) {
-      std::string gram = norm.substr(i, n);
-      if (gram.find_first_not_of(' ') == std::string::npos) continue;
-      out.push_back(std::move(gram));
-    }
-  }
+  return norm;
 }
 
 LanguageDetector::LanguageDetector() {
-  profiles_.resize(kNumLanguages);
+  // Relative frequencies with a *fixed* out-of-vocabulary penalty that
+  // is identical for every language. Per-language Laplace smoothing
+  // would reward tiny profiles (small vocabulary -> higher per-gram
+  // mass); a shared floor makes scores comparable across profiles of
+  // very different corpus sizes, as langdetect's normalized frequency
+  // profiles do. A gram missing from one language's profile scores the
+  // floor in that language's slot of its row.
+  constexpr double kOovProbability = 1e-5;
+  Scores fallback{};
+  fallback.fill(std::log(kOovProbability));
+  // Ordered: iterated below and to build the table (one-time training
+  // cost; the table itself is lookup-only).
+  std::map<std::uint32_t, Scores> rows;
   for (int li = 0; li < kNumLanguages; ++li) {
     const Language lang = language_from_index(li);
     // Training text: the language's corpus words joined by spaces. The
@@ -67,53 +99,45 @@ LanguageDetector::LanguageDetector() {
         }
       }
     }
-    std::vector<std::string> grams;
-    extract_ngrams(training, grams);
-
-    // Ordered: iterated below to fill the profile (one-time training
-    // cost; the profile's lookup table stays hashed).
-    std::map<std::string, double> counts;
-    for (const std::string& g : grams) counts[g] += 1.0;
-    const double total = static_cast<double>(grams.size());
-
-    // Relative frequencies with a *fixed* out-of-vocabulary penalty that
-    // is identical for every language. Per-language Laplace smoothing
-    // would reward tiny profiles (small vocabulary -> higher per-gram
-    // mass); a shared floor makes scores comparable across profiles of
-    // very different corpus sizes, as langdetect's normalized frequency
-    // profiles do.
-    constexpr double kOovProbability = 1e-5;
-    Profile& profile = profiles_[li];
-    for (auto& [gram, count] : counts) {
-      const double p = std::max(count / total, 2.0 * kOovProbability);
-      profile.log_prob[gram] = std::log(p);
-    }
-    profile.log_fallback = std::log(kOovProbability);
+    std::map<std::uint32_t, double> counts;
+    double total = 0.0;
+    for_each_gram(normalize(training), [&](std::uint32_t gram) {
+      counts[gram] += 1.0;
+      total += 1.0;
+    });
+    const auto slot = static_cast<std::size_t>(li);
+    for (const auto& [gram, count] : counts)
+      rows.try_emplace(gram, fallback).first->second[slot] =
+          std::log(std::max(count / total, 2.0 * kOovProbability));
   }
+  grams_ = RowTable<std::uint32_t, GramHash, kNumLanguages>(rows, fallback);
+}
+
+// One table probe and one kNumLanguages-wide add per gram. Each
+// language's sum takes its terms in gram order, so every score is
+// bit-identical to a per-language loop over the same grams.
+// detlint: hot
+std::size_t LanguageDetector::score_grams(std::string_view norm,
+                                          Scores& scores) const {
+  std::size_t count = 0;
+  for_each_gram(norm, [&](std::uint32_t gram) {
+    const Scores& row = grams_.find(gram);
+    for (std::size_t li = 0; li < scores.size(); ++li) scores[li] += row[li];
+    ++count;
+  });
+  return count;
 }
 
 LanguageGuess LanguageDetector::detect(std::string_view text) const {
-  std::vector<std::string> grams;
-  extract_ngrams(text, grams);
-  if (grams.empty()) return {Language::kEnglish, 0.0};
-
-  std::vector<double> scores(kNumLanguages, 0.0);
-  for (int li = 0; li < kNumLanguages; ++li) {
-    const Profile& profile = profiles_[li];
-    double score = 0.0;
-    for (const std::string& g : grams) {
-      const auto it = profile.log_prob.find(g);
-      score += it != profile.log_prob.end() ? it->second
-                                            : profile.log_fallback;
-    }
-    scores[li] = score;
-  }
+  Scores scores{};
+  const std::size_t grams = score_grams(normalize(text), scores);
+  if (grams == 0) return {Language::kEnglish, 0.0};
 
   const auto best =
       std::max_element(scores.begin(), scores.end()) - scores.begin();
   // Posterior share via log-sum-exp, normalized per n-gram to keep the
   // confidence scale comparable across document lengths.
-  const double scale = 1.0 / static_cast<double>(grams.size());
+  const double scale = 1.0 / static_cast<double>(grams);
   double denom = 0.0;
   for (double s : scores)
     denom += std::exp((s - scores[best]) * scale);

@@ -3,11 +3,13 @@
 // profiles built from the embedded per-language corpora.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
+#include "content/row_table.hpp"
 #include "content/topics.hpp"
 
 namespace torsim::content {
@@ -20,8 +22,9 @@ struct LanguageGuess {
 
 class LanguageDetector {
  public:
-  /// Builds profiles (1..3-byte n-grams, add-one smoothing) from the
-  /// embedded corpora.
+  /// Builds profiles (1..3-byte n-grams, relative frequencies with a
+  /// fixed out-of-vocabulary floor of 1e-5 shared by every language)
+  /// from the embedded corpora.
   LanguageDetector();
 
   /// Classifies text; uses n-gram log-likelihoods under each language
@@ -32,16 +35,26 @@ class LanguageDetector {
   static const LanguageDetector& instance();
 
  private:
-  struct Profile {
-    /// Lookup-only (never iterated): hash map is safe and fast.
-    std::unordered_map<std::string, double> log_prob;
-    double log_fallback = -12.0;  ///< for unseen n-grams
+  using Scores = std::array<double, kNumLanguages>;
+
+  /// A byte n-gram packed as bytes in the low 24 bits, n in the top byte.
+  struct GramHash {
+    std::size_t operator()(std::uint32_t gram) const {
+      return static_cast<std::size_t>(
+          (std::uint64_t{gram} * 0x9E3779B97F4A7C15ULL) >> 32);
+    }
   };
 
-  static void extract_ngrams(std::string_view text,
-                             std::vector<std::string>& out);
+  /// Lowercased, space-normalized copy that n-grams are cut from.
+  static std::string normalize(std::string_view text);
 
-  std::vector<Profile> profiles_;  // indexed by Language
+  /// Adds every n-gram's row to `scores`, n-major and left to right
+  /// (the term order each language's sum must keep for bit-identical
+  /// scores); returns the gram count.
+  std::size_t score_grams(std::string_view norm, Scores& scores) const;
+
+  /// Packed gram -> one log-probability per language.
+  RowTable<std::uint32_t, GramHash, kNumLanguages> grams_;
 };
 
 }  // namespace torsim::content

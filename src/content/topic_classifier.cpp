@@ -1,6 +1,7 @@
 #include "content/topic_classifier.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <map>
 #include <set>
@@ -16,7 +17,7 @@ void TopicClassifier::train(const std::vector<LabeledDoc>& docs) {
 
   // Ordered maps at training time: the loops below iterate them, and
   // iteration order must not depend on hash layout (the lookup-only
-  // word_log_prob_ tables stay hashed).
+  // words_ table is hashed).
   std::vector<double> class_count(kNumTopics, 0.0);
   std::vector<std::map<std::string, double>> word_count(kNumTopics);
   std::vector<double> total_words(kNumTopics, 0.0);
@@ -37,39 +38,69 @@ void TopicClassifier::train(const std::vector<LabeledDoc>& docs) {
   const double v = static_cast<double>(vocab.size());
 
   class_log_prior_.assign(kNumTopics, 0.0);
-  word_log_prob_.assign(kNumTopics, {});
-  log_fallback_.assign(kNumTopics, 0.0);
+  Scores fallback{};
   const double n_docs = static_cast<double>(docs.size());
   for (int cls = 0; cls < kNumTopics; ++cls) {
     class_log_prior_[cls] =
         std::log((class_count[cls] + 1.0) / (n_docs + kNumTopics));
-    for (const auto& [w, c] : word_count[cls])
-      word_log_prob_[cls][w] = std::log((c + 1.0) / (total_words[cls] + v));
     // A class with no training documents must never win: its tiny word
     // total would otherwise give it the *highest* Laplace fallback.
-    log_fallback_[cls] = class_count[cls] > 0.0
-                             ? std::log(1.0 / (total_words[cls] + v))
-                             : -1e9;
+    fallback[static_cast<std::size_t>(cls)] =
+        class_count[cls] > 0.0 ? std::log(1.0 / (total_words[cls] + v))
+                               : -1e9;
   }
+  std::map<std::string, Scores> rows;
+  for (int cls = 0; cls < kNumTopics; ++cls) {
+    const auto slot = static_cast<std::size_t>(cls);
+    for (const auto& [w, c] : word_count[cls])
+      rows.try_emplace(w, fallback).first->second[slot] =
+          std::log((c + 1.0) / (total_words[cls] + v));
+  }
+  words_ = RowTable<std::string, WordHash, kNumTopics>(rows, fallback);
+}
+
+// One table probe and one kNumTopics-wide add per word. Each topic's
+// sum takes its terms in text order, so every score is bit-identical to
+// a per-topic loop over the same words.
+// detlint: hot
+std::size_t TopicClassifier::score_words(std::string_view lowered,
+                                         Scores& scores) const {
+  const auto alpha = [&](std::size_t i) {
+    return std::isalpha(static_cast<unsigned char>(lowered[i])) != 0;
+  };
+  std::size_t count = 0;
+  std::size_t i = 0;
+  while (i < lowered.size()) {
+    if (!alpha(i)) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < lowered.size() && alpha(end)) ++end;
+    const Scores& row = words_.find(lowered.substr(i, end - i));
+    for (std::size_t t = 0; t < scores.size(); ++t) scores[t] += row[t];
+    ++count;
+    i = end;
+  }
+  return count;
 }
 
 TopicGuess TopicClassifier::classify(std::string_view text) const {
   if (!trained()) throw std::logic_error("TopicClassifier: not trained");
-  const auto words = util::tokenize_words(text);
-  std::vector<double> scores(kNumTopics);
-  for (int cls = 0; cls < kNumTopics; ++cls) {
-    double score = class_log_prior_[cls];
-    for (const std::string& w : words) {
-      const auto it = word_log_prob_[cls].find(w);
-      score +=
-          it != word_log_prob_[cls].end() ? it->second : log_fallback_[cls];
-    }
-    scores[cls] = score;
+  // Words are maximal alphabetic runs, lowercased (util::tokenize_words'
+  // rule): lowercase once here and score views of the copy.
+  std::string lowered(text);
+  for (char& c : lowered) {
+    const auto uc = static_cast<unsigned char>(c);
+    if (std::isalpha(uc)) c = static_cast<char>(std::tolower(uc));
   }
+  Scores scores{};
+  std::copy(class_log_prior_.begin(), class_log_prior_.end(),
+            scores.begin());
+  const std::size_t words = score_words(lowered, scores);
   const auto best =
       std::max_element(scores.begin(), scores.end()) - scores.begin();
-  const double scale =
-      words.empty() ? 1.0 : 1.0 / static_cast<double>(words.size());
+  const double scale = words == 0 ? 1.0 : 1.0 / static_cast<double>(words);
   double denom = 0.0;
   for (double s : scores) denom += std::exp((s - scores[best]) * scale);
   TopicGuess guess;

@@ -3,11 +3,14 @@
 // used for Fig. 2.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "content/row_table.hpp"
 #include "content/topics.hpp"
 #include "util/rng.hpp"
 
@@ -44,10 +47,23 @@ class TopicClassifier {
                                       int words_per_doc = 120);
 
  private:
-  std::vector<double> class_log_prior_;                 // [topic]
-  /// Lookup-only (never iterated): hash map is safe and fast.
-  std::vector<std::unordered_map<std::string, double>> word_log_prob_;
-  std::vector<double> log_fallback_;                    // [topic]
+  using Scores = std::array<double, kNumTopics>;
+
+  struct WordHash {
+    std::size_t operator()(std::string_view word) const {
+      return std::hash<std::string_view>{}(word);
+    }
+  };
+
+  /// Adds the row of every word of `lowered` (maximal alphabetic runs,
+  /// in text order) to `scores`; returns the word count.
+  std::size_t score_words(std::string_view lowered, Scores& scores) const;
+
+  std::vector<double> class_log_prior_;  // [topic]
+  /// Word -> one log-probability per topic. A topic that never saw the
+  /// word holds that topic's Laplace fallback in its slot; unknown words
+  /// get the all-fallback row.
+  RowTable<std::string, WordHash, kNumTopics> words_;
 };
 
 }  // namespace torsim::content

@@ -268,16 +268,9 @@ std::vector<DescriptorId> descriptor_ids_for_periods(
   const std::size_t replicas = static_cast<std::size_t>(kNumReplicas);
   std::vector<DescriptorId> out(periods.size() * replicas);
   if (periods.empty()) return out;
-  if (cookie.empty() && util::memo_enabled()) {
-    // Cached path: the memo tables already amortize secrets across
-    // periods and services; reuse the single-period cached derivation.
-    for (std::size_t p = 0; p < periods.size(); ++p) {
-      const auto pair = descriptor_ids_for_period(id, periods[p]);
-      for (std::size_t r = 0; r < replicas; ++r)
-        out[p * replicas + r] = pair[r];
-    }
-    return out;
-  }
+  // Always the lane kernel: a multi-period sweep (the resolver's
+  // dictionary) rarely repeats a (service, period) pair, so the memo
+  // would mostly miss while serializing the batch into scalar calls.
   derive_ids_lanes(id, periods, cookie, out.data());
   return out;
 }

@@ -95,12 +95,11 @@ std::array<DescriptorId, kNumReplicas> descriptor_ids_for_period_scalar(
 /// Whole-block derivation: descriptor IDs for every period in
 /// `periods`, period-major / replica-minor (result[p * kNumReplicas +
 /// r] is replica r of periods[p]) — exactly the flattening of
-/// descriptor_ids_for_period over the periods in order. The uncached
-/// path feeds all periods × replicas through the lane kernel in one
-/// pass, which is where the batch width (and the BM_DeriveDescriptorIds
-/// speedup) comes from; the cached path loops the memoized single-
-/// period derivation. Used by the resolver's dictionary builder, which
-/// derives many consecutive days per onion.
+/// descriptor_ids_for_period over the periods in order. All periods ×
+/// replicas go through the lane kernel in one pass, which is where the
+/// batch width (and the BM_DeriveDescriptorIds speedup) comes from; the
+/// memo cache is neither read nor filled. Used by the resolver's
+/// dictionary builder, which derives many consecutive days per onion.
 std::vector<DescriptorId> descriptor_ids_for_periods(
     const PermanentId& id, std::span<const std::uint32_t> periods,
     std::span<const std::uint8_t> cookie = {});

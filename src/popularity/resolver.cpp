@@ -1,12 +1,48 @@
 #include "popularity/resolver.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <functional>
 
 #include "util/parallel.hpp"
 
 namespace torsim::popularity {
+
+namespace {
+
+/// Buckets of the ring sort: one per value of an id's top 16 bits.
+constexpr std::size_t kRingBuckets = std::size_t{1} << 16;
+
+/// Writes the `n` items `item(0)`, ..., `item(n - 1)` to `out` sorted by
+/// operator<, which must order items by `id_of(item)` first (ring order).
+/// A counting pass scatters the items into kRingBuckets buckets by the
+/// id's top 16 bits, then std::sort orders each bucket. Descriptor ids
+/// are SHA-1 outputs, uniform on the ring, so a bucket holds a few dozen
+/// items and the whole sort is close to two linear passes. `out` has `n`
+/// slots and `starts` kRingBuckets + 1; nothing is allocated.
+template <typename T, typename Item, typename IdOf>
+void ring_sort(std::size_t n, Item item, IdOf id_of, std::span<T> out,
+               std::span<std::size_t> starts) {
+  const auto bucket = [&](const T& value) {
+    const crypto::DescriptorId& id = std::invoke(id_of, value);
+    return std::size_t{id[0]} << 8 | id[1];
+  };
+  std::fill(starts.begin(), starts.end(), 0);
+  for (std::size_t i = 0; i < n; ++i) ++starts[bucket(item(i)) + 1];
+  for (std::size_t b = 1; b < starts.size(); ++b) starts[b] += starts[b - 1];
+  // Scatter; afterwards starts[b] is the end of bucket b.
+  for (std::size_t i = 0; i < n; ++i) {
+    const T value = item(i);
+    out[starts[bucket(value)]++] = value;
+  }
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < kRingBuckets; ++b) {
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
+              out.begin() + static_cast<std::ptrdiff_t>(starts[b]));
+    begin = starts[b];
+  }
+}
+
+}  // namespace
 
 DescriptorResolver::DescriptorResolver(ResolverConfig config)
     : config_(config) {
@@ -27,33 +63,67 @@ void DescriptorResolver::build_dictionary(
 
 void DescriptorResolver::build_dictionary_from_onions(
     const std::vector<std::string>& onions) {
-  dictionary_.clear();
-  // The SHA-1 derivations per onion are independent: fan them out, then
-  // insert in onion order so duplicate-id collisions resolve exactly as
-  // the serial loop would (last writer in input order wins).
-  const auto derive_one = [&](std::size_t index) {
+  // The SHA-1 derivations per onion are independent: fan them out into
+  // per-onion slots of one flat array (onion-major, then period-major,
+  // replica-minor — the order the serial per-period loop produced). The
+  // time-period function shifts per-service, so derive once per day in
+  // the window; duplicate ids are dropped below.
+  std::vector<util::UnixTime> days;
+  for (util::UnixTime t = config_.derive_from; t < config_.derive_to;
+       t += util::kSecondsPerDay)
+    days.push_back(t);
+  const std::size_t per_onion =
+      days.size() * static_cast<std::size_t>(crypto::kNumReplicas);
+  std::vector<crypto::DescriptorId> derived(onions.size() * per_onion);
+  util::parallel_for(onions.size(), config_.threads, [&](std::size_t index) {
     const auto pid = crypto::parse_onion_address(onions[index]);
-    // One derivation per day in the window; the time-period function
-    // shifts per-service, so step by days and dedupe via the map. All
-    // of the service's periods go through the lane-batched derivation
-    // in a single call (period-major, replica-minor — the same order
-    // the per-period loop produced).
     std::vector<std::uint32_t> periods;
-    for (util::UnixTime t = config_.derive_from; t < config_.derive_to;
-         t += util::kSecondsPerDay)
-      periods.push_back(crypto::time_period(t, pid));
-    return crypto::descriptor_ids_for_periods(pid, periods);
-  };
-  const std::vector<std::vector<crypto::DescriptorId>> derived =
-      util::parallel_map(onions.size(), config_.threads, derive_one);
+    periods.reserve(days.size());
+    for (const util::UnixTime day : days)
+      periods.push_back(crypto::time_period(day, pid));
+    const std::vector<crypto::DescriptorId> ids =
+        crypto::descriptor_ids_for_periods(pid, periods);
+    for (std::size_t k = 0; k < per_onion; ++k)
+      derived[index * per_onion + k] = ids[k];
+  });
+
   // Interning happens here, in the serial fold — never in the parallel
   // derivation above (the interner's contract, docs/data-layout.md).
-  for (std::size_t i = 0; i < derived.size(); ++i) {
-    const util::StringInterner::Id onion_id =
-        util::global_interner().intern(onions[i]);
-    for (const crypto::DescriptorId& id : derived[i])
-      dictionary_[id] = onion_id;
+  std::vector<util::StringInterner::Id> interned;
+  interned.reserve(onions.size());
+  for (const std::string& onion : onions)
+    interned.push_back(util::global_interner().intern(onion));
+  onions_ = interned;
+  std::sort(onions_.begin(), onions_.end());
+  onions_.erase(std::unique(onions_.begin(), onions_.end()), onions_.end());
+
+  // Entries carry their onion's input position until the sort: ordered
+  // by (id, position), the last entry of each equal-id run is the last
+  // writer in input order — the rule of a serial map insert.
+  dictionary_.resize(derived.size());
+  std::vector<std::size_t> starts(kRingBuckets + 1);
+  ring_sort(
+      derived.size(),
+      [&](std::size_t i) {
+        return Entry{derived[i], static_cast<std::uint32_t>(i / per_onion)};
+      },
+      &Entry::id, std::span<Entry>(dictionary_), starts);
+  derived = {};
+
+  std::size_t kept = 0;
+  for (const Entry& entry : dictionary_) {
+    if (kept > 0 && dictionary_[kept - 1].id == entry.id) --kept;
+    dictionary_[kept++] = entry;
   }
+  dictionary_.resize(kept);
+  // Input position -> onion slot.
+  std::vector<std::uint32_t> slot_of(interned.size());
+  for (std::size_t i = 0; i < interned.size(); ++i)
+    slot_of[i] = static_cast<std::uint32_t>(
+        std::lower_bound(onions_.begin(), onions_.end(), interned[i]) -
+        onions_.begin());
+  for (Entry& entry : dictionary_) entry.onion = slot_of[entry.onion];
+
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& m = *config_.metrics;
     m.counter("resolver.onions_derived")
@@ -61,6 +131,17 @@ void DescriptorResolver::build_dictionary_from_onions(
     m.gauge("resolver.dictionary_size")
         .set(static_cast<std::int64_t>(dictionary_.size()));
   }
+}
+
+std::optional<std::string> DescriptorResolver::resolve_id(
+    const crypto::DescriptorId& id) const {
+  const auto it = std::lower_bound(
+      dictionary_.begin(), dictionary_.end(), id,
+      [](const Entry& e, const crypto::DescriptorId& key) {
+        return e.id < key;
+      });
+  if (it == dictionary_.end() || it->id != id) return std::nullopt;
+  return std::string(util::global_interner().view(onions_[it->onion]));
 }
 
 ResolutionReport DescriptorResolver::resolve(
@@ -73,26 +154,32 @@ ResolutionReport DescriptorResolver::resolve(
   return resolve_internal(stream, &pop);
 }
 
-// The request-log join is the resolver's measured inner loop: one
-// ordered-map bump per request, then one dictionary probe per unique
-// id. Everything allocator-visible (the ranking rows, label lookups)
-// stays in resolve_internal.
+// The request-log join is the resolver's measured inner loop: sort the
+// request ids, count each run, and walk the sorted dictionary alongside
+// (a merge join). Everything allocator-visible (the scratch storage, the
+// ranking rows, label lookups) stays in resolve_internal.
 // detlint: hot
 void DescriptorResolver::tally_requests(
-    const RequestStream& stream,
-    std::map<crypto::DescriptorId, std::int64_t>& id_counts,
-    std::map<util::StringInterner::Id, std::int64_t>& onion_counts,
+    const RequestStream& stream, std::span<crypto::DescriptorId> sorted,
+    std::span<std::size_t> starts, std::span<std::int64_t> onion_counts,
     ResolutionReport& report) const {
-  for (const DescriptorRequest& req : stream.requests)
-    ++id_counts[req.descriptor_id];
-  report.unique_descriptor_ids =
-      static_cast<std::int64_t>(id_counts.size());
-  for (const auto& [id, count] : id_counts) {
-    const auto it = dictionary_.find(id);
-    if (it == dictionary_.end()) continue;
-    ++report.resolved_descriptor_ids;
-    report.resolved_requests += count;
-    onion_counts[it->second] += count;
+  ring_sort(
+      stream.requests.size(),
+      [&](std::size_t i) { return stream.requests[i].descriptor_id; },
+      std::identity{}, sorted, starts);
+  auto entry = dictionary_.begin();
+  for (std::size_t i = 0; i < sorted.size();) {
+    std::size_t end = i + 1;
+    while (end < sorted.size() && sorted[end] == sorted[i]) ++end;
+    const auto count = static_cast<std::int64_t>(end - i);
+    ++report.unique_descriptor_ids;
+    while (entry != dictionary_.end() && entry->id < sorted[i]) ++entry;
+    if (entry != dictionary_.end() && entry->id == sorted[i]) {
+      ++report.resolved_descriptor_ids;
+      report.resolved_requests += count;
+      onion_counts[entry->onion] += count;
+    }
+    i = end;
   }
 }
 
@@ -101,16 +188,17 @@ ResolutionReport DescriptorResolver::resolve_internal(
   ResolutionReport report;
   report.total_requests = static_cast<std::int64_t>(stream.requests.size());
 
-  std::map<crypto::DescriptorId, std::int64_t> id_counts;
-  std::map<util::StringInterner::Id, std::int64_t> onion_counts;
-  tally_requests(stream, id_counts, onion_counts, report);
-  report.resolved_onions = static_cast<std::int64_t>(onion_counts.size());
+  std::vector<crypto::DescriptorId> sorted(stream.requests.size());
+  std::vector<std::size_t> starts(kRingBuckets + 1);
+  std::vector<std::int64_t> onion_counts(onions_.size(), 0);
+  tally_requests(stream, sorted, starts, onion_counts, report);
 
-  // Iteration is in intern-id order, not lexicographic — harmless: the
+  // Slot order is intern-id order, not lexicographic — harmless: the
   // sort below totally orders rows by (requests, onion).
-  report.ranking.reserve(onion_counts.size());
-  for (const auto& [onion_id, count] : onion_counts) {
-    const std::string_view onion = util::global_interner().view(onion_id);
+  for (std::size_t slot = 0; slot < onions_.size(); ++slot) {
+    const std::int64_t count = onion_counts[slot];
+    if (count == 0) continue;
+    const std::string_view onion = util::global_interner().view(onions_[slot]);
     RankedService row;
     row.onion = std::string(onion);
     row.requests = count;
@@ -123,6 +211,7 @@ ResolutionReport DescriptorResolver::resolve_internal(
     }
     report.ranking.push_back(std::move(row));
   }
+  report.resolved_onions = static_cast<std::int64_t>(report.ranking.size());
   std::sort(report.ranking.begin(), report.ranking.end(),
             [](const RankedService& a, const RankedService& b) {
               if (a.requests != b.requests) return a.requests > b.requests;

@@ -7,9 +7,11 @@
 // We implement exactly that method.
 #pragma once
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,32 +84,41 @@ class DescriptorResolver {
   std::size_t dictionary_size() const { return dictionary_.size(); }
 
   /// Resolves one descriptor id to its onion address, if known.
-  std::optional<std::string> resolve_id(
-      const crypto::DescriptorId& id) const {
-    const auto it = dictionary_.find(id);
-    if (it == dictionary_.end()) return std::nullopt;
-    return std::string(util::global_interner().view(it->second));
-  }
+  std::optional<std::string> resolve_id(const crypto::DescriptorId& id) const;
 
  private:
+  /// One dictionary row: a derived descriptor id and the slot of the
+  /// onion it resolves to (an index into onions_). Ordered by id first.
+  struct Entry {
+    crypto::DescriptorId id;
+    std::uint32_t onion = 0;
+    friend auto operator<=>(const Entry&, const Entry&) = default;
+  };
+
   ResolutionReport resolve_internal(const RequestStream& stream,
                                     const population::Population* pop) const;
 
-  /// The hot request-log join: per-id counts, then dictionary probes
-  /// folding resolved ids into per-onion counts (Sec. V method). The
-  /// per-onion key is the 4-byte intern id: the join allocates map
-  /// nodes only, never onion strings.
-  void tally_requests(
-      const RequestStream& stream,
-      std::map<crypto::DescriptorId, std::int64_t>& id_counts,
-      std::map<util::StringInterner::Id, std::int64_t>& onion_counts,
-      ResolutionReport& report) const;
+  /// The hot request-log join (Sec. V method): sorts the stream's
+  /// descriptor ids into `sorted` (one slot per request; `starts` is the
+  /// sort's bucket table), counts each run of equal ids, and merge-joins
+  /// the runs against the sorted dictionary, adding each resolved id's
+  /// request count to `onion_counts[slot]` (sized onions_.size()). All
+  /// storage is the caller's.
+  void tally_requests(const RequestStream& stream,
+                      std::span<crypto::DescriptorId> sorted,
+                      std::span<std::size_t> starts,
+                      std::span<std::int64_t> onion_counts,
+                      ResolutionReport& report) const;
 
   ResolverConfig config_;
-  /// Values are ids into util::global_interner() — the dictionary keeps
-  /// one 4-byte handle per derived descriptor id instead of ~12 owned
-  /// copies of every onion string (one per derivation day).
-  std::map<crypto::DescriptorId, util::StringInterner::Id> dictionary_;
+  /// Sorted by descriptor id, one contiguous 24-byte entry per distinct
+  /// derived id: binary-searched by resolve_id, merge-joined by the
+  /// tally.
+  std::vector<Entry> dictionary_;
+  /// Onion slot -> id into util::global_interner(), ascending and
+  /// distinct: the dictionary keeps one 4-byte handle per onion instead
+  /// of ~12 owned copies of every onion string (one per derivation day).
+  std::vector<util::StringInterner::Id> onions_;
 };
 
 }  // namespace torsim::popularity

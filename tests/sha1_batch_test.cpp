@@ -223,8 +223,8 @@ TEST(Sha1BatchTest, DeriveIdsLaneWiringMatchesScalarOracle) {
 }
 
 TEST(Sha1BatchTest, DeriveIdsCachedPathMatchesColdPath) {
-  // Memo on vs off must be byte-identical (the memo is a pure value
-  // table; the lane kernel only replaces the miss computation).
+  // Memo on vs off must be byte-identical, and the multi-period batch
+  // always takes the lane kernel: it neither reads nor fills the memo.
   util::Rng rng(409);
   PermanentId pid{};
   rng.fill_bytes(pid.data(), pid.size());
@@ -236,9 +236,11 @@ TEST(Sha1BatchTest, DeriveIdsCachedPathMatchesColdPath) {
   }
   {
     const util::MemoEnabledGuard on(true);
+    reset_derivation_cache_stats();
     warm = descriptor_ids_for_periods(pid, periods);
-    // Twice: the second call is served from the memo shards.
     EXPECT_EQ(descriptor_ids_for_periods(pid, periods), warm);
+    EXPECT_EQ(derivation_cache_stats().lookups(), 0u);
+    EXPECT_EQ(secret_cache_stats().lookups(), 0u);
   }
   EXPECT_EQ(cold, warm);
 }
