@@ -1,7 +1,10 @@
 #include "attack/harvester.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
+#include "crypto/digest.hpp"
 #include "util/logging.hpp"
 
 namespace torsim::attack {
@@ -34,13 +37,13 @@ void ShadowHarvester::deploy(sim::World& world) {
       relays_.push_back(id);
     }
   }
+  sorted_relays_ = relays_;
+  std::sort(sorted_relays_.begin(), sorted_relays_.end());
   expose_pair(world, 0);
 }
 
 bool ShadowHarvester::owns(relay::RelayId id) const {
-  for (relay::RelayId mine : relays_)
-    if (mine == id) return true;
-  return false;
+  return std::binary_search(sorted_relays_.begin(), sorted_relays_.end(), id);
 }
 
 void ShadowHarvester::expose_pair(sim::World& world, int pair_index) {
@@ -56,14 +59,24 @@ void ShadowHarvester::expose_pair(sim::World& world, int pair_index) {
   }
 }
 
-void ShadowHarvester::collect(sim::World& world,
+void ShadowHarvester::collect(const sim::World& world, CollectState& state,
                               HarvestReport& report) const {
+  const std::optional<util::UnixTime> since = state.last_collect;
   for (relay::RelayId id : relays_) {
     const hsdir::DescriptorStore* store = world.directories().find_store(id);
     if (store == nullptr) continue;
-    for (const hsdir::Descriptor& d : store->all_descriptors())
-      report.onions.insert(d.onion_address());
+    store->for_each_descriptor([&](const hsdir::DescriptorView& d) {
+      if (since && d.published <= *since) return;
+      const std::string_view key(
+          reinterpret_cast<const char*>(d.service_public_key.data()),
+          d.service_public_key.size());
+      if (state.seen_keys.contains(key)) return;
+      state.seen_keys.emplace(key);
+      report.onions.insert(
+          crypto::onion_address_from_public_key(d.service_public_key));
+    });
   }
+  state.last_collect = world.now();
 }
 
 HarvestReport ShadowHarvester::run(sim::World& world, int rotation_hours) {
@@ -81,23 +94,23 @@ HarvestReport ShadowHarvester::run(sim::World& world, int rotation_hours) {
   }
 
   std::set<relay::RelayId> positions;
+  CollectState collected;
   {
     TRACE_SPAN(config_.trace, world.clock(), "harvest.rotate");
     for (int h = 0; h < rotation_hours; ++h) {
       expose_pair(world, h);
       world.step_hour();
-      for (relay::RelayId id : relays_) {
-        const dirauth::ConsensusEntry* e = world.consensus().find_relay(id);
-        if (e != nullptr && has_flag(e->flags, dirauth::Flag::kHSDir))
-          positions.insert(id);
-      }
-      collect(world, report);
+      for (const dirauth::ConsensusEntry& e : world.consensus().entries())
+        if (has_flag(e.flags, dirauth::Flag::kHSDir) && owns(e.relay))
+          positions.insert(e.relay);
+      collect(world, collected, report);
     }
   }
   report.rotation_hours = rotation_hours;
   report.positions_used = static_cast<int>(positions.size());
+  // A run without rotation hours still reads what ripening left behind.
+  if (rotation_hours <= 0) collect(world, collected, report);
 
-  collect(world, report);
   std::int64_t descriptors = 0;
   std::int64_t fetches = 0;
   for (relay::RelayId id : relays_) {

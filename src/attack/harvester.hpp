@@ -16,6 +16,8 @@
 // 39,824 onion addresses.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -77,13 +79,28 @@ class ShadowHarvester {
   bool owns(relay::RelayId id) const;
 
  private:
+  /// What collect() remembers between rotation hours.
+  struct CollectState {
+    /// World time of the previous collect; descriptors published at or
+    /// before it were read then (stores are written only inside
+    /// step_hour, after the clock advanced).
+    std::optional<util::UnixTime> last_collect;
+    /// Public keys already turned into onion addresses.
+    std::set<std::string, std::less<>> seen_keys;
+  };
+
   /// Makes exactly the pair with index `pair_index` on each IP visible
   /// to the authorities.
   void expose_pair(sim::World& world, int pair_index);
-  void collect(sim::World& world, HarvestReport& report) const;
+  /// Adds the onion address of every descriptor the fleet's stores
+  /// received since the previous collect, hashing each distinct public
+  /// key once.
+  void collect(const sim::World& world, CollectState& state,
+               HarvestReport& report) const;
 
   HarvesterConfig config_;
   std::vector<relay::RelayId> relays_;  // grouped by IP: m consecutive
+  std::vector<relay::RelayId> sorted_relays_;  // relays_, ascending
   bool deployed_ = false;
 };
 

@@ -41,6 +41,14 @@ PermanentId permanent_id_from_fingerprint(const Sha1Digest& fingerprint);
 /// Renders the 16-character .onion address (without the ".onion" suffix).
 std::string onion_address(const PermanentId& id);
 
+/// Onion address of the service whose serialized public key is
+/// `public_key`: base32(SHA1(key)[0:10]). Reads the bytes in place, so
+/// a caller holding key bytes (a descriptor, a store's arena) needs no
+/// KeyPair copy. Throws std::invalid_argument on an empty key, as
+/// KeyPair::from_public_bytes does.
+std::string onion_address_from_public_key(
+    std::span<const std::uint8_t> public_key);
+
 /// Full address with ".onion" appended.
 std::string onion_address_full(const PermanentId& id);
 

@@ -29,8 +29,10 @@ Consensus::Consensus(util::UnixTime valid_after,
             [](const ConsensusEntry& a, const ConsensusEntry& b) {
               return a.fingerprint < b.fingerprint;
             });
-  for (std::size_t i = 0; i < entries_.size(); ++i)
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (has_flag(entries_[i].flags, Flag::kHSDir)) hsdir_indices_.push_back(i);
+    if (has_flag(entries_[i].flags, Flag::kFast)) fast_indices_.push_back(i);
+  }
   build_ring_index();
 }
 
@@ -50,6 +52,7 @@ Consensus::Consensus(const Consensus& other)
     : valid_after_(other.valid_after_),
       entries_(other.entries_),
       hsdir_indices_(other.hsdir_indices_),
+      fast_indices_(other.fast_indices_),
       ring_index_(other.ring_index_),
       generation_(other.entries_.empty() ? 0 : next_generation()) {}
 
@@ -58,6 +61,7 @@ Consensus& Consensus::operator=(const Consensus& other) {
   valid_after_ = other.valid_after_;
   entries_ = other.entries_;
   hsdir_indices_ = other.hsdir_indices_;
+  fast_indices_ = other.fast_indices_;
   ring_index_ = other.ring_index_;
   generation_ = entries_.empty() ? 0 : next_generation();
   return *this;
@@ -67,11 +71,13 @@ Consensus::Consensus(Consensus&& other) noexcept
     : valid_after_(other.valid_after_),
       entries_(std::move(other.entries_)),
       hsdir_indices_(std::move(other.hsdir_indices_)),
+      fast_indices_(std::move(other.fast_indices_)),
       ring_index_(std::move(other.ring_index_)),
       generation_(std::exchange(other.generation_, 0)) {
   other.valid_after_ = 0;
   other.entries_.clear();
   other.hsdir_indices_.clear();
+  other.fast_indices_.clear();
   other.ring_index_ = RingIndex{};
 }
 
@@ -80,11 +86,13 @@ Consensus& Consensus::operator=(Consensus&& other) noexcept {
   valid_after_ = other.valid_after_;
   entries_ = std::move(other.entries_);
   hsdir_indices_ = std::move(other.hsdir_indices_);
+  fast_indices_ = std::move(other.fast_indices_);
   ring_index_ = std::move(other.ring_index_);
   generation_ = std::exchange(other.generation_, 0);
   other.valid_after_ = 0;
   other.entries_.clear();
   other.hsdir_indices_.clear();
+  other.fast_indices_.clear();
   other.ring_index_ = RingIndex{};
   return *this;
 }

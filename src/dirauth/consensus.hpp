@@ -69,6 +69,14 @@ class Consensus {
 
   std::size_t hsdir_count() const { return hsdir_indices_.size(); }
 
+  /// Indexes into entries() for relays carrying the Fast flag, in
+  /// entries() order (what with_flag(kFast) lists) — the pool that
+  /// introduction points, middle hops and rendezvous points are
+  /// sampled from.
+  const std::vector<std::size_t>& fast_indices() const {
+    return fast_indices_;
+  }
+
   /// Entry lookup by fingerprint (nullptr if absent).
   const ConsensusEntry* find(const crypto::Fingerprint& fingerprint) const;
 
@@ -113,7 +121,8 @@ class Consensus {
   /// are no HSDirs).
   const RingIndex& ring_index() const { return ring_index_; }
 
-  /// Entries with a given flag.
+  /// Entries with a given flag. Allocates; the per-publish and
+  /// per-circuit samplers use fast_indices() instead.
   std::vector<const ConsensusEntry*> with_flag(Flag flag) const;
 
  private:
@@ -122,6 +131,7 @@ class Consensus {
   util::UnixTime valid_after_ = 0;
   std::vector<ConsensusEntry> entries_;       // sorted by fingerprint
   std::vector<std::size_t> hsdir_indices_;    // ring order
+  std::vector<std::size_t> fast_indices_;     // entries() order
   RingIndex ring_index_;                      // eytzinger over the ring
   std::uint64_t generation_ = 0;              // 0 = empty default
 };

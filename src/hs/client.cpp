@@ -78,12 +78,13 @@ FetchOutcome Client::fetch_descriptor_id(const crypto::DescriptorId& id,
     // Middle hop: any Fast relay that is neither the guard nor (later)
     // the directory itself; the simplification of not excluding the
     // HSDir is harmless at network scale.
-    const auto fast = consensus.with_flag(dirauth::Flag::kFast);
+    const auto& fast = consensus.fast_indices();
     if (!fast.empty()) {
       for (int tries = 0; tries < 8; ++tries) {
-        const auto* candidate = fast[rng_.index(fast.size())];
-        if (candidate->relay != outcome.guard) {
-          outcome.middle = candidate->relay;
+        const dirauth::ConsensusEntry& candidate =
+            consensus.entries()[fast[rng_.index(fast.size())]];
+        if (candidate.relay != outcome.guard) {
+          outcome.middle = candidate.relay;
           break;
         }
       }

@@ -52,7 +52,7 @@ RendezvousOutcome rendezvous_connect(Client& client, ServiceHost& service,
   }
   outcome.client_guard = client_guard->relay;
 
-  const auto fast = consensus.with_flag(dirauth::Flag::kFast);
+  const auto& fast = consensus.fast_indices();
   if (fast.empty()) {
     outcome.failure = RendezvousFailure::kNoRendezvousPoint;
     return outcome;
@@ -75,7 +75,8 @@ RendezvousOutcome rendezvous_connect(Client& client, ServiceHost& service,
     if (attempt > 1)
       outcome.backoff_spent += injector->retry().backoff_before(attempt);
     // A fresh RP + cookie per try, like Tor abandoning a stuck circuit.
-    outcome.rendezvous_point = fast[rng.index(fast.size())]->relay;
+    outcome.rendezvous_point =
+        consensus.entries()[fast[rng.index(fast.size())]].relay;
     outcome.cookie = rng.next();
     if (inject &&
         injector->circuit_stalled(outcome.cookie, kRpCircuit, attempt)) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "dirauth/ring_cache.hpp"
+
 namespace torsim::hs {
 
 ServiceHost::ServiceHost(crypto::KeyPair key, util::UnixTime created)
@@ -19,45 +21,83 @@ std::string ServiceHost::onion_address() const {
   return crypto::onion_address(permanent_id_);
 }
 
+namespace {
+
+using ResponsibleSets =
+    std::array<dirauth::ResponsibleSet, crypto::kNumReplicas>;
+
+// True when `sets`, flattened replica by replica, lists exactly the
+// fingerprints in `fingerprints`.
+bool same_directories(const ResponsibleSets& sets,
+                      const std::vector<crypto::Fingerprint>& fingerprints) {
+  std::size_t k = 0;
+  for (const dirauth::ResponsibleSet& set : sets) {
+    for (std::uint8_t i = 0; i < set.count; ++i, ++k) {
+      if (k >= fingerprints.size() ||
+          set.dirs[i]->fingerprint != fingerprints[k])
+        return false;
+    }
+  }
+  return k == fingerprints.size();
+}
+
+}  // namespace
+
+const std::array<crypto::DescriptorId, crypto::kNumReplicas>&
+ServiceHost::descriptor_ids(std::uint32_t period) {
+  if (!ids_valid_ || ids_period_ != period) {
+    ids_ = crypto::descriptor_ids_for_period(permanent_id_, period,
+                                             descriptor_cookie_);
+    ids_period_ = period;
+    ids_valid_ = true;
+  }
+  return ids_;
+}
+
 std::vector<relay::RelayId> ServiceHost::maybe_publish(
     const dirauth::Consensus& consensus, hsdir::DirectoryNetwork& dirnet,
     util::Rng& rng, util::UnixTime now, bool force) {
   if (!online_) return {};
   const std::uint32_t period = crypto::time_period(now, permanent_id_);
+  const auto& ids = descriptor_ids(period);
 
-  // Fingerprints of the currently responsible HSDirs for both replicas.
-  std::vector<crypto::Fingerprint> responsible;
-  std::vector<relay::RelayId> responsible_relays;
-  const auto replica_ids = crypto::descriptor_ids_for_period(
-      permanent_id_, period, descriptor_cookie_);
-  for (std::uint8_t replica = 0; replica < crypto::kNumReplicas; ++replica) {
-    const auto& id = replica_ids[replica];
-    for (const dirauth::ConsensusEntry* e : consensus.responsible_hsdirs(id)) {
-      responsible.push_back(e->fingerprint);
-      responsible_relays.push_back(e->relay);
-    }
+  // The currently responsible HSDirs for both replicas.
+  ResponsibleSets responsible;
+  for (std::size_t replica = 0; replica < responsible.size(); ++replica) {
+    dirauth::ResponsibleSet& set = responsible[replica];
+    set.count = static_cast<std::uint8_t>(consensus.responsible_hsdirs_into(
+        ids[replica], set.dirs.data(), set.dirs.size()));
   }
-  const bool ring_shifted = responsible != last_responsible_;
+  const bool ring_shifted = !same_directories(responsible, last_responsible_);
   if (published_once_ && period == last_period_ && !ring_shifted && !force)
     return {};
 
   // Sample up to 3 introduction points among Fast relays.
   intro_points_.clear();
-  const auto fast = consensus.with_flag(dirauth::Flag::kFast);
+  const auto& fast = consensus.fast_indices();
   if (!fast.empty()) {
     for (int i = 0; i < 3; ++i)
-      intro_points_.push_back(fast[rng.index(fast.size())]->fingerprint);
+      intro_points_.push_back(
+          consensus.entries()[fast[rng.index(fast.size())]].fingerprint);
   }
 
-  std::vector<hsdir::Descriptor> descriptors;
-  for (std::uint8_t replica = 0; replica < crypto::kNumReplicas; ++replica)
-    descriptors.push_back(hsdir::make_descriptor(key_, intro_points_, replica,
-                                                 now, descriptor_cookie_));
+  std::array<hsdir::Descriptor, crypto::kNumReplicas> descriptors;
+  for (std::size_t replica = 0; replica < descriptors.size(); ++replica)
+    descriptors[replica] = hsdir::make_descriptor(
+        key_, permanent_id_, period, ids[replica], intro_points_,
+        static_cast<std::uint8_t>(replica), now);
 
   last_period_ = period;
   published_once_ = true;
-  last_responsible_ = std::move(responsible);
-  const auto receivers = dirnet.publish(consensus, descriptors);
+  last_responsible_.clear();
+  std::vector<relay::RelayId> responsible_relays;
+  for (const dirauth::ResponsibleSet& set : responsible) {
+    for (std::uint8_t i = 0; i < set.count; ++i) {
+      last_responsible_.push_back(set.dirs[i]->fingerprint);
+      responsible_relays.push_back(set.dirs[i]->relay);
+    }
+  }
+  const auto receivers = dirnet.publish(consensus, descriptors, responsible);
 
   // Typed outcome: directories the upload never reached despite the
   // network's bounded retries (receivers is deduplicated, so compare
@@ -86,6 +126,7 @@ std::vector<relay::RelayId> ServiceHost::maybe_publish(
 std::vector<crypto::DescriptorId> ServiceHost::current_descriptor_ids(
     util::UnixTime now) const {
   const std::uint32_t period = crypto::time_period(now, permanent_id_);
+  if (ids_valid_ && ids_period_ == period) return {ids_.begin(), ids_.end()};
   const auto replica_ids = crypto::descriptor_ids_for_period(
       permanent_id_, period, descriptor_cookie_);
   return {replica_ids.begin(), replica_ids.end()};

@@ -3,6 +3,7 @@
 // responsible HSDirs as time periods roll over.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -52,7 +53,10 @@ class ServiceHost {
       const dirauth::Consensus& consensus, hsdir::DirectoryNetwork& dirnet,
       util::Rng& rng, util::UnixTime now, bool force = false);
 
-  /// Current descriptor IDs (replica 0 and 1) at time `now`.
+  /// Current descriptor IDs (replica 0 and 1) at time `now`. Served
+  /// from the ids maybe_publish keeps for its current period when `now`
+  /// falls in it; derived otherwise. Never writes the cached ids, so
+  /// views may call it concurrently between publishes.
   std::vector<crypto::DescriptorId> current_descriptor_ids(
       util::UnixTime now) const;
 
@@ -62,6 +66,7 @@ class ServiceHost {
   /// (or force a republish afterwards).
   void set_descriptor_cookie(std::vector<std::uint8_t> cookie) {
     descriptor_cookie_ = std::move(cookie);
+    ids_valid_ = false;
   }
   const std::vector<std::uint8_t>& descriptor_cookie() const {
     return descriptor_cookie_;
@@ -99,6 +104,11 @@ class ServiceHost {
   int last_publish_lost() const { return last_publish_lost_; }
 
  private:
+  /// Both replicas' descriptor ids for `period`, derived only when the
+  /// period (or the cookie) changed since the last call.
+  const std::array<crypto::DescriptorId, crypto::kNumReplicas>&
+  descriptor_ids(std::uint32_t period);
+
   crypto::KeyPair key_;
   crypto::PermanentId permanent_id_;
   util::UnixTime created_;
@@ -109,6 +119,11 @@ class ServiceHost {
   std::vector<crypto::Fingerprint> last_responsible_;
   std::vector<crypto::Fingerprint> intro_points_;
   std::vector<std::uint8_t> descriptor_cookie_;
+  // Descriptor ids of ids_period_ under the current cookie; filled by
+  // descriptor_ids(), cleared by set_descriptor_cookie().
+  bool ids_valid_ = false;
+  std::uint32_t ids_period_ = 0;
+  std::array<crypto::DescriptorId, crypto::kNumReplicas> ids_{};
   std::vector<PublishRecord> publish_records_;
   util::Ipv4 address_;
   GuardManager guard_manager_;

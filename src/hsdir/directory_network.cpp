@@ -1,26 +1,24 @@
 #include "hsdir/directory_network.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace torsim::hsdir {
 
 std::vector<relay::RelayId> DirectoryNetwork::publish(
     const dirauth::Consensus& consensus,
-    const std::vector<Descriptor>& descriptors) {
-  // Ring lookups are pure and fan out across threads; the store writes
-  // stay serial and commit in descriptor order, so the directory state
-  // is identical to the serial publish.
-  std::vector<crypto::DescriptorId> ids;
-  ids.reserve(descriptors.size());
-  for (const Descriptor& d : descriptors) ids.push_back(d.descriptor_id);
-  const auto responsible = ring_cache_.batch(consensus, ids, config_.threads);
-
+    std::span<const Descriptor> descriptors,
+    std::span<const dirauth::ResponsibleSet> responsible) {
+  if (responsible.size() != descriptors.size())
+    throw std::invalid_argument(
+        "DirectoryNetwork::publish: one responsible set per descriptor");
   std::vector<relay::RelayId> receivers;
   std::int64_t stored = 0;
   for (std::size_t i = 0; i < descriptors.size(); ++i) {
     const std::uint64_t descriptor_key = fault::FaultInjector::key_of(
         descriptors[i].descriptor_id.data(), descriptors[i].descriptor_id.size());
-    for (const dirauth::ConsensusEntry* e : responsible[i]) {
+    for (std::uint8_t k = 0; k < responsible[i].count; ++k) {
+      const dirauth::ConsensusEntry* e = responsible[i].dirs[k];
       if (injector_ != nullptr && injector_->enabled()) {
         // Bounded per-directory retry: an upload lost in transit is
         // re-sent up to max_attempts times; a directory that drops all
@@ -48,7 +46,7 @@ std::vector<relay::RelayId> DirectoryNetwork::publish(
         }
         DescriptorStore& target = store_for(e->relay);
         target.observe_epoch(consensus.generation());
-        target.store(std::move(copy));
+        target.store(copy);
         receivers.push_back(e->relay);
         ++stored;
         continue;

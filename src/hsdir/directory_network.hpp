@@ -4,6 +4,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 
 #include "dirauth/consensus.hpp"
 #include "dirauth/ring_cache.hpp"
@@ -14,11 +15,6 @@
 namespace torsim::hsdir {
 
 struct DirectoryNetworkConfig {
-  /// Worker threads for batched responsible-HSDir ring lookups during
-  /// publish; <= 0 = one per hardware thread, 1 = legacy serial path.
-  /// Store contents are bit-identical for every value (lookups fan
-  /// out; store writes stay serial, in input order).
-  int threads = 0;
   /// Optional metrics sink ("hsdir.*" counters). Publish and fetch run
   /// in serial sections, so plain counters stay deterministic. Must
   /// outlive the network. See docs/observability.md.
@@ -55,17 +51,22 @@ class DirectoryNetwork {
   }
   const fault::FaultInjector* fault_injector() const { return injector_; }
 
-  /// Publishes both replicas of `descriptor`'s service to their
-  /// responsible HSDirs under `consensus`. `descriptors` must hold
-  /// exactly the replicas to publish. Returns the relay ids that
-  /// received a copy (with duplicates removed). Under an active fault
-  /// plan, each per-directory upload is retried (bounded, exponential
-  /// backoff) when lost; uploads still lost after the final attempt
-  /// are surfaced in failure_log() as kPublishLost, and delayed
-  /// uploads are stored but only fetchable after the delay.
+  /// Publishes one service's replicas under `consensus`:
+  /// descriptors[i] goes to the directories of responsible[i], the
+  /// responsible set of its descriptor id that the caller already
+  /// walked under the same consensus (hs::ServiceHost needs that walk
+  /// anyway to decide whether to republish). Throws
+  /// std::invalid_argument when the two spans differ in length.
+  /// Returns the relay ids that received a copy (with duplicates
+  /// removed). Under an active fault plan, each per-directory upload
+  /// is retried (bounded, exponential backoff) when lost; uploads still
+  /// lost after the final attempt are surfaced in failure_log() as
+  /// kPublishLost, and delayed uploads are stored but only fetchable
+  /// after the delay.
   std::vector<relay::RelayId> publish(
       const dirauth::Consensus& consensus,
-      const std::vector<Descriptor>& descriptors);
+      std::span<const Descriptor> descriptors,
+      std::span<const dirauth::ResponsibleSet> responsible);
 
   /// Fetches `id` from one responsible HSDir under `consensus`;
   /// `hsdir_relay` receives the id of the directory that answered (or
@@ -100,8 +101,8 @@ class DirectoryNetwork {
   std::map<relay::RelayId, DescriptorStore> stores_;
   const fault::FaultInjector* injector_ = nullptr;
   fault::FailureLog failure_log_;
-  // Memoized ring walks, keyed by consensus generation. Publish and
-  // fetch run in serial sections (see DirectoryNetworkConfig), so the
+  // Memoized fetch_from ring walks, keyed by consensus generation.
+  // Fetches run in serial sections (see DirectoryNetworkConfig), so the
   // cache needs no lock; values are pure, so results are identical
   // with the cache on or off (docs/performance.md).
   dirauth::ResponsibleSetCache ring_cache_;

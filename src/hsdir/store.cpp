@@ -1,11 +1,12 @@
 #include "hsdir/store.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
 namespace torsim::hsdir {
 
-void DescriptorStore::store(Descriptor descriptor) {
+void DescriptorStore::store(const Descriptor& descriptor) {
   StoredDescriptor s;
   s.permanent_id = descriptor.permanent_id;
   s.replica = descriptor.replica;
@@ -21,6 +22,8 @@ void DescriptorStore::store(Descriptor descriptor) {
       descriptor.introduction_points.data(),
       descriptor.introduction_points.size() * sizeof(crypto::Fingerprint));
 
+  if (descriptors_.empty() || s.published < oldest_published_)
+    oldest_published_ = s.published;
   // A refresh orphans the old payload span (the append above is the new
   // one); the old bytes stay dead in the arena until compaction.
   const auto it = descriptors_.find(descriptor.descriptor_id);
@@ -42,12 +45,16 @@ Descriptor DescriptorStore::materialize(const crypto::DescriptorId& id,
   d.time_period = s.time_period;
   d.published = s.published;
   d.visible_after = s.visible_after;
+  // memcpy with an empty vector's null data() is undefined even for
+  // zero bytes, so empty payloads are skipped.
   d.service_public_key.resize(s.key_size);
-  std::memcpy(d.service_public_key.data(), arena_.at(s.key_offset),
-              s.key_size);
+  if (s.key_size != 0)
+    std::memcpy(d.service_public_key.data(), arena_.at(s.key_offset),
+                s.key_size);
   d.introduction_points.resize(s.intro_count);
-  std::memcpy(d.introduction_points.data(), arena_.at(s.intro_offset),
-              s.intro_count * sizeof(crypto::Fingerprint));
+  if (s.intro_count != 0)
+    std::memcpy(d.introduction_points.data(), arena_.at(s.intro_offset),
+                s.intro_count * sizeof(crypto::Fingerprint));
   return d;
 }
 
@@ -72,14 +79,19 @@ bool DescriptorStore::contains(const crypto::DescriptorId& id,
 }
 
 void DescriptorStore::expire(util::UnixTime now) {
+  if (descriptors_.empty() || now - oldest_published_ <= kDescriptorLifetime)
+    return;
+  util::UnixTime oldest = now;
   for (auto it = descriptors_.begin(); it != descriptors_.end();) {
     if (now - it->second.published > kDescriptorLifetime) {
       live_payload_bytes_ -= payload_bytes(it->second);
       it = descriptors_.erase(it);
     } else {
+      oldest = std::min(oldest, it->second.published);
       ++it;
     }
   }
+  oldest_published_ = oldest;
 }
 
 void DescriptorStore::observe_epoch(std::uint64_t generation) {
@@ -101,13 +113,6 @@ void DescriptorStore::compact() {
   }
   arena_.swap(fresh);
   ++compactions_;
-}
-
-std::vector<Descriptor> DescriptorStore::all_descriptors() const {
-  std::vector<Descriptor> out;
-  out.reserve(descriptors_.size());
-  for (const auto& [id, s] : descriptors_) out.push_back(materialize(id, s));
-  return out;
 }
 
 }  // namespace torsim::hsdir

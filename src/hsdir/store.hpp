@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "hsdir/descriptor.hpp"
@@ -32,10 +33,19 @@ struct FetchRecord {
 /// the previous period erase descriptors once they rotate out.
 inline constexpr util::Seconds kDescriptorLifetime = 24 * util::kSecondsPerHour;
 
+/// A held descriptor as DescriptorStore::for_each_descriptor shows it:
+/// the key bytes are read in place from the store's payload arena and
+/// are valid only for the duration of the visit.
+struct DescriptorView {
+  const crypto::DescriptorId& descriptor_id;
+  util::UnixTime published = 0;
+  std::span<const std::uint8_t> service_public_key;
+};
+
 class DescriptorStore {
  public:
   /// Stores (or refreshes) a descriptor.
-  void store(Descriptor descriptor);
+  void store(const Descriptor& descriptor);
 
   /// Looks a descriptor up by id, honouring expiry at time `now`.
   /// If logging is enabled the request is recorded either way.
@@ -53,7 +63,9 @@ class DescriptorStore {
   /// Drops descriptors published more than kDescriptorLifetime before
   /// `now` (the paper: directories "erase its descriptor from memory"
   /// after the responsibility period). Payload bytes become dead arena
-  /// space, reclaimed at the next compacting epoch observation.
+  /// space, reclaimed at the next compacting epoch observation. Returns
+  /// without walking the store while its oldest `published` time is
+  /// still within the lifetime.
   void expire(util::UnixTime now);
 
   /// Tells the store which consensus generation the current publish
@@ -75,9 +87,17 @@ class DescriptorStore {
   const std::vector<FetchRecord>& fetch_log() const { return fetch_log_; }
   void clear_fetch_log() { fetch_log_.clear(); }
 
-  /// Every descriptor currently held (the harvesting attack reads this
-  /// out of its own relays). Owned copies, id order.
-  std::vector<Descriptor> all_descriptors() const;
+  /// Calls visit(DescriptorView) for every descriptor currently held,
+  /// in id order, without copying payloads (the harvesting attack reads
+  /// its own relays' stores this way). `visit` must not modify the
+  /// store.
+  template <typename Visit>
+  void for_each_descriptor(Visit&& visit) const {
+    for (const auto& [id, s] : descriptors_)
+      visit(DescriptorView{
+          id, s.published,
+          std::span<const std::uint8_t>(arena_.at(s.key_offset), s.key_size)});
+  }
 
   std::size_t size() const { return descriptors_.size(); }
 
@@ -109,6 +129,10 @@ class DescriptorStore {
   void compact();
 
   std::map<crypto::DescriptorId, StoredDescriptor> descriptors_;
+  /// Lower bound on the `published` time of every held descriptor
+  /// (exact after each expiry walk; a refresh may leave it low, which
+  /// only costs one extra walk). Meaningless while the store is empty.
+  util::UnixTime oldest_published_ = 0;
   util::ByteArena arena_;
   std::size_t live_payload_bytes_ = 0;
   std::uint64_t epoch_ = 0;

@@ -17,8 +17,7 @@ World::World(WorldConfig config)
       clock_(config.start != 0 ? config.start : default_start_time()),
       rng_(config.seed),
       authority_(config.authority_policy),
-      dirnet_(hsdir::DirectoryNetworkConfig{.threads = config.threads,
-                                            .metrics = config.metrics}) {
+      dirnet_(hsdir::DirectoryNetworkConfig{.metrics = config.metrics}) {
   if (config_.faults.enabled()) {
     injector_ = std::make_unique<fault::FaultInjector>(config_.faults);
     injector_->set_metrics(config_.metrics);

@@ -84,9 +84,9 @@ struct WorldConfig {
   /// costs memory on multi-year simulations, so it is switchable).
   bool record_archive = true;
   dirauth::AuthorityPolicy authority_policy{};
-  /// Worker threads for the descriptor-publish ring-lookup fan-out;
-  /// <= 0 = one per hardware thread, 1 = legacy serial path. Results
-  /// are bit-identical for every value (see docs/concurrency.md).
+  /// Unread: the World has no parallel section since each service hands
+  /// publish the ring walks it already made (docs/concurrency.md). Kept
+  /// so callers that forward their --threads value still compile.
   int threads = 0;
   /// Injected directory/circuit faults (default: none). When enabled the
   /// world owns a FaultInjector and wires it into the directory network;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "dirauth/authority.hpp"
 #include "hs/client.hpp"
@@ -93,6 +96,138 @@ TEST(DescriptorStoreTest, ExpiryAfter24Hours) {
   EXPECT_FALSE(store.fetch(d.descriptor_id, kT0 + 24 * 3600 + 1).has_value());
   store.expire(kT0 + 25 * 3600);
   EXPECT_EQ(store.size(), 0u);
+}
+
+// What a full expiry walk keeps: every descriptor id whose latest
+// publish lies within the lifetime, with its payload size. The store's
+// early-exit expiry must agree with it on size() and live_payload_bytes().
+class FullWalkModel {
+ public:
+  void store(const hsdir::Descriptor& d) {
+    held_[d.descriptor_id] = {
+        d.published, d.service_public_key.size() +
+                         d.introduction_points.size() *
+                             sizeof(crypto::Fingerprint)};
+  }
+  void expire(util::UnixTime now) {
+    std::erase_if(held_, [&](const auto& entry) {
+      return now - entry.second.first > hsdir::kDescriptorLifetime;
+    });
+  }
+  void expect_matches(const hsdir::DescriptorStore& store) const {
+    std::size_t bytes = 0;
+    for (const auto& [id, entry] : held_) bytes += entry.second;
+    EXPECT_EQ(store.size(), held_.size());
+    EXPECT_EQ(store.live_payload_bytes(), bytes);
+  }
+
+ private:
+  std::map<crypto::DescriptorId, std::pair<util::UnixTime, std::size_t>>
+      held_;
+};
+
+hsdir::Descriptor published_at(hsdir::Descriptor d, util::UnixTime t) {
+  d.published = t;
+  return d;
+}
+
+TEST(DescriptorStoreTest, ExpiryKeepsDescriptorRefreshedWithLaterPublish) {
+  util::Rng rng(33);
+  hsdir::DescriptorStore store;
+  FullWalkModel model;
+  const auto d = hsdir::make_descriptor(crypto::KeyPair::generate(rng), {}, 0,
+                                        kT0);
+  for (const auto& copy : {d, published_at(d, kT0 + 10 * 3600)}) {
+    store.store(copy);
+    model.store(copy);
+  }
+  // The first publish is past the lifetime, the refresh is not.
+  for (const util::UnixTime now :
+       {kT0 + 25 * 3600, kT0 + 34 * 3600, kT0 + 34 * 3600 + 1}) {
+    store.expire(now);
+    model.expire(now);
+    model.expect_matches(store);
+  }
+  EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(DescriptorStoreTest, ExpiryBoundaryIsExactlyTheLifetime) {
+  util::Rng rng(34);
+  hsdir::DescriptorStore store;
+  FullWalkModel model;
+  const auto d = hsdir::make_descriptor(crypto::KeyPair::generate(rng), {}, 0,
+                                        kT0);
+  store.store(d);
+  model.store(d);
+  store.expire(kT0 + hsdir::kDescriptorLifetime);
+  model.expire(kT0 + hsdir::kDescriptorLifetime);
+  model.expect_matches(store);
+  EXPECT_EQ(store.size(), 1u);
+  store.expire(kT0 + hsdir::kDescriptorLifetime + 1);
+  model.expire(kT0 + hsdir::kDescriptorLifetime + 1);
+  model.expect_matches(store);
+  EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(DescriptorStoreTest, ExpiryAfterStoreEmptiedAndRefilled) {
+  util::Rng rng(35);
+  hsdir::DescriptorStore store;
+  FullWalkModel model;
+  std::vector<crypto::Fingerprint> intros(2);
+  const auto a = hsdir::make_descriptor(crypto::KeyPair::generate(rng),
+                                        intros, 0, kT0);
+  const auto b = hsdir::make_descriptor(crypto::KeyPair::generate(rng), {},
+                                        1, kT0);
+  const auto c = hsdir::make_descriptor(crypto::KeyPair::generate(rng),
+                                        intros, 1, kT0);
+  const auto step = [&](const hsdir::Descriptor* d, util::UnixTime now) {
+    if (d != nullptr) {
+      store.store(*d);
+      model.store(*d);
+    }
+    store.expire(now);
+    model.expire(now);
+    model.expect_matches(store);
+  };
+  step(&a, kT0 + 25 * 3600);  // stored and expired: the store is empty
+  EXPECT_EQ(store.size(), 0u);
+  // Refill far later, then add an older publish out of order: the
+  // older one must still expire on time.
+  const auto b_late = published_at(b, kT0 + 100 * 3600);
+  const auto c_early = published_at(c, kT0 + 90 * 3600);
+  step(&b_late, kT0 + 100 * 3600);
+  step(&c_early, kT0 + 114 * 3600);
+  step(nullptr, kT0 + 114 * 3600 + 1);
+  EXPECT_EQ(store.size(), 1u);
+  step(nullptr, kT0 + 124 * 3600 + 1);
+  EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(DescriptorStoreTest, ExpiryMatchesFullWalkOnRandomSchedule) {
+  util::Rng rng(36);
+  hsdir::DescriptorStore store;
+  FullWalkModel model;
+  std::vector<hsdir::Descriptor> pool;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<crypto::Fingerprint> intros(rng.index(4));
+    pool.push_back(hsdir::make_descriptor(crypto::KeyPair::generate(rng),
+                                          intros, 0, kT0));
+  }
+  util::UnixTime now = kT0;
+  for (int step = 0; step < 400; ++step) {
+    now += static_cast<util::Seconds>(rng.index(4 * 3600));
+    if (rng.index(3) != 0) {
+      // Publish times trail the clock by up to a day, out of order.
+      const auto d = published_at(
+          pool[rng.index(pool.size())],
+          now - static_cast<util::Seconds>(rng.index(24 * 3600)));
+      store.store(d);
+      model.store(d);
+    }
+    store.expire(now);
+    model.expire(now);
+    model.expect_matches(store);
+  }
 }
 
 TEST(DescriptorStoreTest, FetchLogRecordsHitsAndMisses) {
@@ -248,6 +383,68 @@ TEST(ServiceHostTest, OfflineServiceDoesNotPublish) {
   auto host = hs::ServiceHost::create(rng, kT0);
   host.set_online(false);
   EXPECT_TRUE(host.maybe_publish(net.consensus, net.dirnet, rng, kT0).empty());
+}
+
+TEST(ServiceHostTest, CachedDescriptorIdsFollowPeriodRollover) {
+  MiniNet net;
+  util::Rng rng(37);
+  auto host = hs::ServiceHost::create(rng, kT0);
+  const auto& pid = host.permanent_id();
+  const auto derived = [&](util::UnixTime t) {
+    const auto ids =
+        crypto::descriptor_ids_for_period(pid, crypto::time_period(t, pid));
+    return std::vector<crypto::DescriptorId>(ids.begin(), ids.end());
+  };
+  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  EXPECT_EQ(host.current_descriptor_ids(kT0), derived(kT0));
+
+  // Next period, before and after the publish that moves the cache.
+  const util::UnixTime next = kT0 + crypto::seconds_until_rotation(kT0, pid);
+  ASSERT_NE(crypto::time_period(next, pid), crypto::time_period(kT0, pid));
+  EXPECT_EQ(host.current_descriptor_ids(next), derived(next));
+  ASSERT_FALSE(host.maybe_publish(net.consensus, net.dirnet, rng, next)
+                   .empty());
+  EXPECT_EQ(host.current_descriptor_ids(next), derived(next));
+  EXPECT_EQ(host.current_descriptor_ids(kT0), derived(kT0));
+
+  // The descriptors went out under the new period's ids.
+  for (const auto& id : derived(next)) {
+    relay::RelayId hsdir;
+    const auto d = net.dirnet.fetch_from(net.consensus, id, next + 1, hsdir);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->time_period, crypto::time_period(next, pid));
+  }
+}
+
+TEST(ServiceHostTest, CookieSetAfterPublishReplacesCachedIds) {
+  MiniNet net;
+  util::Rng rng(38);
+  auto host = hs::ServiceHost::create(rng, kT0);
+  const auto& pid = host.permanent_id();
+  const std::uint32_t period = crypto::time_period(kT0, pid);
+  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+
+  const std::vector<std::uint8_t> cookie = {4, 8, 15, 16, 23, 42};
+  host.set_descriptor_cookie(cookie);
+  const auto with_cookie =
+      crypto::descriptor_ids_for_period(pid, period, cookie);
+  EXPECT_EQ(host.current_descriptor_ids(kT0),
+            std::vector<crypto::DescriptorId>(with_cookie.begin(),
+                                              with_cookie.end()));
+  EXPECT_NE(host.current_descriptor_ids(kT0).front(),
+            crypto::descriptor_ids_for_period(pid, period).front());
+
+  ASSERT_FALSE(
+      host.maybe_publish(net.consensus, net.dirnet, rng, kT0 + 60, true)
+          .empty());
+  EXPECT_EQ(host.current_descriptor_ids(kT0 + 60),
+            std::vector<crypto::DescriptorId>(with_cookie.begin(),
+                                              with_cookie.end()));
+  for (const auto& id : with_cookie) {
+    relay::RelayId hsdir;
+    EXPECT_TRUE(
+        net.dirnet.fetch_from(net.consensus, id, kT0 + 61, hsdir).has_value());
+  }
 }
 
 // ---------------------------------------------------------------------
