@@ -16,9 +16,7 @@
 #include "attack/grinding.hpp"
 #include "crypto/digest.hpp"
 #include "dirauth/consensus.hpp"
-#include "dirauth/ring_cache.hpp"
 #include "stats/descriptive.hpp"
-#include "util/memo.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -69,11 +67,6 @@ dirauth::Consensus make_ring_consensus(int n) {
   return {0, std::move(entries)};
 }
 
-// Ring-lookup microbench: the fetch-path responsible-set resolution
-// through dirauth::ResponsibleSetCache with the memo cache forced off
-// (cache:0 — every call re-walks the ring) vs on (cache:1 — walks are
-// memoized until the consensus generation changes). The resolved sets
-// are identical in both modes (docs/performance.md).
 // The 1024 lookup targets every ring bench (and the deterministic
 // checksum rows) share.
 std::vector<crypto::DescriptorId> lookup_ids() {
@@ -83,35 +76,21 @@ std::vector<crypto::DescriptorId> lookup_ids() {
   return ids;
 }
 
+// Ring-lookup microbench: the fetch-path responsible-set resolution,
+// one eytzinger descent per id (Consensus::responsible_hsdirs_into).
 void BM_RingLookup(benchmark::State& state) {
-  const util::MemoEnabledGuard cache_guard(state.range(0) != 0);
-  const dirauth::Consensus consensus = make_ring_consensus(1300);
-  const std::vector<crypto::DescriptorId> ids = lookup_ids();
-  dirauth::ResponsibleSetCache cache;
-  for (auto _ : state) {
-    std::size_t sink = 0;
-    for (const auto& id : ids) sink += cache.responsible(consensus, id).count;
-    benchmark::DoNotOptimize(sink);
-  }
-}
-BENCHMARK(BM_RingLookup)->Arg(0)->Arg(1)->ArgName("cache");
-
-// Oracle: the pre-index cold path — a per-id result vector plus the
-// sorted scan over hsdir_indices() with full-entry dereferences — kept
-// callable precisely for this before/after comparison. Timings land in
-// the BENCH json "index" section next to BM_RingLookup/cache:0.
-void BM_RingLookupOracle(benchmark::State& state) {
-  const util::MemoEnabledGuard cache_guard(false);
   const dirauth::Consensus consensus = make_ring_consensus(1300);
   const std::vector<crypto::DescriptorId> ids = lookup_ids();
   for (auto _ : state) {
     std::size_t sink = 0;
+    const dirauth::ConsensusEntry* dirs[crypto::kHsDirsPerReplica];
     for (const auto& id : ids)
-      sink += consensus.responsible_hsdirs_scan(id).size();
+      sink += consensus.responsible_hsdirs_into(id, dirs,
+                                                crypto::kHsDirsPerReplica);
     benchmark::DoNotOptimize(sink);
   }
 }
-BENCHMARK(BM_RingLookupOracle);
+BENCHMARK(BM_RingLookup);
 
 // Derivation fixture: 32 services x 8 consecutive time periods — the
 // resolver's dictionary-builder shape (many days per onion).
@@ -130,8 +109,7 @@ std::vector<std::uint32_t> derive_periods() {
 }
 
 // Descriptor-id derivation through the lane-batched kernel
-// (crypto/sha1_batch.hpp). The multi-period batch never consults the
-// memo, so every call takes the lane path.
+// (crypto/sha1_batch.hpp).
 void BM_DeriveDescriptorIds(benchmark::State& state) {
   const std::vector<crypto::PermanentId> pids = derive_pids();
   const std::vector<std::uint32_t> periods = derive_periods();
@@ -146,35 +124,16 @@ void BM_DeriveDescriptorIds(benchmark::State& state) {
 }
 BENCHMARK(BM_DeriveDescriptorIds);
 
-// Oracle: the scalar midstate-fork derivation, one period at a time —
-// the pre-batch implementation, uncached.
-void BM_DeriveDescriptorIdsOracle(benchmark::State& state) {
-  const std::vector<crypto::PermanentId> pids = derive_pids();
-  const std::vector<std::uint32_t> periods = derive_periods();
-  for (auto _ : state) {
-    std::size_t sink = 0;
-    for (const auto& pid : pids)
-      for (const std::uint32_t period : periods) {
-        const auto pair = crypto::descriptor_ids_for_period_scalar(pid, period);
-        sink += pair[0][0];
-      }
-    benchmark::DoNotOptimize(sink);
-  }
-}
-BENCHMARK(BM_DeriveDescriptorIdsOracle);
-
 // Deterministic checksums over the two kernels' outputs, recorded as
-// rows so tools/diff_bench_rows.py can byte-compare --ring-index=on vs
-// off (and --cache=on vs off) runs in CI: both routes must resolve the
-// same responsible sets and derive the same descriptor ids.
+// rows: the resolved responsible sets and the derived descriptor ids.
 void print_ring_index_rows() {
   bench::print_header("Ring kernels — deterministic checksums");
 
   const dirauth::Consensus consensus = make_ring_consensus(1300);
   const std::vector<crypto::DescriptorId> ids = lookup_ids();
   double relay_sum = 0.0;
-  for (const auto& set : consensus.responsible_hsdirs_batch(ids, 1))
-    for (const dirauth::ConsensusEntry* e : set)
+  for (const auto& id : ids)
+    for (const dirauth::ConsensusEntry* e : consensus.responsible_hsdirs(id))
       relay_sum += static_cast<double>(e->relay);
   bench::print_row("responsible relay-id sum", relay_sum, 0.0);
 
@@ -185,25 +144,6 @@ void print_ring_index_rows() {
          crypto::descriptor_ids_for_periods(pid, periods))
       byte_sum += static_cast<double>(id[0]);
   bench::print_row("derived descriptor-id byte sum", byte_sum, 0.0);
-}
-
-// The non-golden "index" telemetry section: cold-path per-iteration
-// seconds of each kernel against its kept oracle, read back from the
-// recorded google-benchmark runs.
-void record_index_stats() {
-  const auto real_seconds = [](const std::string& name) {
-    for (const obs::BenchReport::BenchmarkRun& run :
-         bench::report().benchmarks())
-      if (run.name == name) return run.real_time_seconds;
-    return 0.0;  // benchmark filtered out of this run
-  };
-  bench::report().set_index_enabled(dirauth::ring_index_enabled());
-  bench::report().set_index_stat("derive_descriptor_ids",
-                                 real_seconds("BM_DeriveDescriptorIdsOracle"),
-                                 real_seconds("BM_DeriveDescriptorIds"));
-  bench::report().set_index_stat("ring_lookup",
-                                 real_seconds("BM_RingLookupOracle"),
-                                 real_seconds("BM_RingLookup/cache:0"));
 }
 
 void print_ablation() {
@@ -264,6 +204,5 @@ int main(int argc, char** argv) {
   torsim::bench::run_benchmarks();
   print_ablation();
   print_ring_index_rows();
-  record_index_stats();
   return torsim::bench::finish();
 }

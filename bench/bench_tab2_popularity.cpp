@@ -11,7 +11,6 @@
 #include "popularity/botnet_inference.hpp"
 #include "popularity/request_generator.hpp"
 #include "popularity/resolver.hpp"
-#include "util/memo.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -56,12 +55,9 @@ void BM_GenerateRequests(benchmark::State& state) {
 BENCHMARK(BM_GenerateRequests)->Unit(benchmark::kMillisecond);
 
 // Descriptor-ID-derivation microbench: the resolver-shaped hot loop
-// (services x days x replicas) with the memo cache forced off (cache:0)
-// vs on (cache:1). The derived IDs are identical in both modes — the
-// cache contract (docs/performance.md) — so only the timings differ,
-// and they land in the benchmarks section, never in the rows goldens.
+// (services x days x replicas), one period per call. Timings land in
+// the benchmarks section, never in the rows goldens.
 void BM_DeriveDescriptorIds(benchmark::State& state) {
-  const util::MemoEnabledGuard cache_guard(state.range(0) != 0);
   util::Rng rng(42);
   std::vector<crypto::PermanentId> pids(512);
   for (auto& pid : pids) rng.fill_bytes(pid.data(), pid.size());
@@ -80,7 +76,7 @@ void BM_DeriveDescriptorIds(benchmark::State& state) {
     benchmark::DoNotOptimize(sink);
   }
 }
-BENCHMARK(BM_DeriveDescriptorIds)->Arg(0)->Arg(1)->ArgName("cache");
+BENCHMARK(BM_DeriveDescriptorIds);
 
 // Serial-vs-parallel sweep over the multi-day descriptor-ID derivation
 // (the Sec. V dictionary): the argument is the `threads` knob. The

@@ -58,71 +58,11 @@ std::uint32_t time_period(util::UnixTime t, const PermanentId& id) {
 
 namespace {
 
-// --- Derivation memo caches ------------------------------------------
-//
-// Pure value tables over the rend-spec arithmetic above: a hit returns
-// exactly what the miss path computes, so caching can only skip hashing,
-// never change a result. Shards are thread_local (no locks, no sharing)
-// and self-invalidate against util::memo_epoch(); hit/miss totals are
-// process-wide relaxed atomics (bench telemetry only, see memo.hpp).
-// Only empty-cookie derivations are cacheable — authenticated services
-// mix in an unbounded secret, and their requests are meant to stay
-// expensive/unresolvable anyway.
-
-struct DerivationKey {
-  PermanentId id{};
-  std::uint32_t period = 0;
-  std::uint8_t replica = 0;
-  bool operator==(const DerivationKey&) const = default;
-};
-
-struct DerivationKeyHash {
-  std::uint64_t operator()(const DerivationKey& key) const {
-    std::uint64_t h = util::memo_mix_bytes(key.id.data(), key.id.size());
-    return util::memo_mix_u64(
-        h, (static_cast<std::uint64_t>(key.period) << 8) | key.replica);
-  }
-};
-
-struct SecretKey {
-  std::uint32_t period = 0;
-  std::uint8_t replica = 0;
-  bool operator==(const SecretKey&) const = default;
-};
-
-struct SecretKeyHash {
-  std::uint64_t operator()(const SecretKey& key) const {
-    return util::memo_mix_u64(
-        1469598103934665603ULL,
-        (static_cast<std::uint64_t>(key.period) << 8) | key.replica);
-  }
-};
-
+// Ids derived by descriptor_id and descriptor_ids_for_period, read by
+// the torbench harness (see derivation_cache_stats).
 util::CacheCounters& derivation_counters() {
   static util::CacheCounters counters;
   return counters;
-}
-
-util::CacheCounters& secret_counters() {
-  static util::CacheCounters counters;
-  return counters;
-}
-
-struct DerivationShard {
-  util::MemoTable<DerivationKey, DescriptorId, DerivationKeyHash> ids{4096};
-  util::MemoTable<SecretKey, Sha1Digest, SecretKeyHash> secrets{64};
-  std::uint64_t epoch = 0;
-};
-
-DerivationShard& shard() {
-  thread_local DerivationShard local;
-  const std::uint64_t epoch = util::memo_epoch();
-  if (local.epoch != epoch) {
-    local.ids.clear();
-    local.secrets.clear();
-    local.epoch = epoch;
-  }
-  return local;
 }
 
 // Midstate over INT4(period) || cookie — everything of secret-id-part
@@ -155,12 +95,12 @@ DescriptorId combine_descriptor_id(const PermanentId& id,
   return hasher.finalize();
 }
 
-// Lane-parallel uncached derivation core: the secret-id-part of every
+// Lane-parallel derivation core: the secret-id-part of every
 // (period, replica) pair is hashed through the batched kernel in one
 // pass, then the combine digests are forked off a shared permanent-id
 // midstate. Writes periods.size() * kNumReplicas ids, period-major /
-// replica-minor — the exact bytes (and order) of looping
-// descriptor_ids_for_period_scalar over the periods.
+// replica-minor — the exact bytes (and order) of one scalar derivation
+// per (period, replica).
 void derive_ids_lanes(const PermanentId& id,
                       std::span<const std::uint32_t> periods,
                       std::span<const std::uint8_t> cookie,
@@ -199,73 +139,24 @@ void derive_ids_lanes(const PermanentId& id,
 
 Sha1Digest secret_id_part(std::uint32_t period, std::uint8_t replica,
                           std::span<const std::uint8_t> cookie) {
-  if (cookie.empty() && util::memo_enabled()) {
-    DerivationShard& local = shard();
-    const SecretKey key{period, replica};
-    if (const Sha1Digest* hit = local.secrets.find(key)) {
-      secret_counters().hit();
-      return *hit;
-    }
-    secret_counters().miss();
-    const Sha1Digest secret = finish_secret(secret_midstate(period, {}), replica);
-    if (local.secrets.store(key, secret)) secret_counters().evict();
-    return secret;
-  }
   return finish_secret(secret_midstate(period, cookie), replica);
 }
 
 DescriptorId descriptor_id(const PermanentId& id, std::uint32_t period,
                            std::uint8_t replica,
                            std::span<const std::uint8_t> cookie) {
-  if (cookie.empty() && util::memo_enabled()) {
-    DerivationShard& local = shard();
-    const DerivationKey key{id, period, replica};
-    if (const DescriptorId* hit = local.ids.find(key)) {
-      derivation_counters().hit();
-      return *hit;
-    }
-    derivation_counters().miss();
-    const DescriptorId result =
-        combine_descriptor_id(id, secret_id_part(period, replica));
-    if (local.ids.store(key, result)) derivation_counters().evict();
-    return result;
-  }
+  derivation_counters().miss();
   return combine_descriptor_id(id, secret_id_part(period, replica, cookie));
 }
 
 std::array<DescriptorId, kNumReplicas> descriptor_ids_for_period(
     const PermanentId& id, std::uint32_t period,
     std::span<const std::uint8_t> cookie) {
+  derivation_counters().miss(kNumReplicas);
   std::array<DescriptorId, kNumReplicas> out{};
-  if (cookie.empty() && util::memo_enabled()) {
-    // The cached path: the secret table already amortizes the shared
-    // midstate across replicas (and across every service in the same
-    // period), so route through the per-replica cache.
-    for (int replica = 0; replica < kNumReplicas; ++replica)
-      out[static_cast<std::size_t>(replica)] =
-          descriptor_id(id, period, static_cast<std::uint8_t>(replica));
-    return out;
-  }
-  // Uncached path: both replicas ride the lane kernel in one batch.
   const std::uint32_t periods[1] = {period};
   derive_ids_lanes(id, std::span<const std::uint32_t>(periods, 1), cookie,
                    out.data());
-  return out;
-}
-
-std::array<DescriptorId, kNumReplicas> descriptor_ids_for_period_scalar(
-    const PermanentId& id, std::uint32_t period,
-    std::span<const std::uint8_t> cookie) {
-  // Pre-batch reference path, kept verbatim as the differential oracle:
-  // absorb INT4(period) || cookie once, fork the scalar SHA-1 midstate
-  // per replica, combine each secret with the permanent id.
-  std::array<DescriptorId, kNumReplicas> out{};
-  const Sha1 midstate = secret_midstate(period, cookie);
-  for (int replica = 0; replica < kNumReplicas; ++replica) {
-    const Sha1Digest secret =
-        finish_secret(midstate, static_cast<std::uint8_t>(replica));
-    out[static_cast<std::size_t>(replica)] = combine_descriptor_id(id, secret);
-  }
   return out;
 }
 
@@ -275,9 +166,6 @@ std::vector<DescriptorId> descriptor_ids_for_periods(
   const std::size_t replicas = static_cast<std::size_t>(kNumReplicas);
   std::vector<DescriptorId> out(periods.size() * replicas);
   if (periods.empty()) return out;
-  // Always the lane kernel: a multi-period sweep (the resolver's
-  // dictionary) rarely repeats a (service, period) pair, so the memo
-  // would mostly miss while serializing the batch into scalar calls.
   derive_ids_lanes(id, periods, cookie, out.data());
   return out;
 }
@@ -286,12 +174,7 @@ util::CacheStats derivation_cache_stats() {
   return derivation_counters().snapshot();
 }
 
-util::CacheStats secret_cache_stats() { return secret_counters().snapshot(); }
-
-void reset_derivation_cache_stats() {
-  derivation_counters().reset();
-  secret_counters().reset();
-}
+void reset_derivation_cache_stats() { derivation_counters().reset(); }
 
 util::Seconds seconds_until_rotation(util::UnixTime t, const PermanentId& id) {
   const std::uint64_t offset =

@@ -2,6 +2,7 @@
 // that clients, hidden services, and attackers all compute from.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -31,6 +32,14 @@ struct ConsensusEntry {
   FlagSet flags = 0;
 };
 
+/// The responsible HSDirs of one descriptor id: up to kHsDirsPerReplica
+/// directory entries, in ring order (see
+/// Consensus::responsible_hsdirs_into).
+struct ResponsibleSet {
+  std::array<const ConsensusEntry*, crypto::kHsDirsPerReplica> dirs{};
+  std::uint8_t count = 0;
+};
+
 /// An hourly consensus document.
 class Consensus {
  public:
@@ -45,10 +54,11 @@ class Consensus {
   Consensus(Consensus&& other) noexcept;
   Consensus& operator=(Consensus&& other) noexcept;
 
-  /// Identity stamp for ring-lookup caches: entry pointers cached under
-  /// one generation stay valid exactly as long as this consensus (or a
-  /// move-destination of it) is alive — two Consensus objects share a
-  /// generation only when they share the same entries() storage. The
+  /// Identity stamp: two Consensus objects share a generation only
+  /// when they share the same entries() storage, so entry pointers
+  /// taken under one generation stay valid exactly as long as this
+  /// consensus (or a move-destination of it) is alive. DescriptorStore
+  /// compacts its arena when the publishing generation moves on. The
   /// stamp comes from a process-wide counter, so its *value* depends on
   /// construction order; it is only ever compared for equality and
   /// never emitted. 0 = the empty default consensus.
@@ -85,37 +95,19 @@ class Consensus {
 
   /// The kHsDirsPerReplica HSDir entries whose fingerprints follow
   /// `descriptor_id` clockwise on the ring (wrapping), in order — the
-  /// "responsible hidden service directories" for one replica. Routes
-  /// through the eytzinger RingIndex when ring_index_enabled(), through
-  /// responsible_hsdirs_scan() otherwise; the two are byte-identical by
-  /// contract (tests/ring_index_diff_test.cpp).
+  /// "responsible hidden service directories" for one replica, found
+  /// through the eytzinger RingIndex. tests/ring_index_diff_test.cpp
+  /// checks it against the sorted-scan oracle in tests/oracles.hpp.
   std::vector<const ConsensusEntry*> responsible_hsdirs(
       const crypto::DescriptorId& descriptor_id) const;
 
   /// Allocation-free responsible_hsdirs: writes up to `capacity` entry
   /// pointers into `out` and returns the count written (the same
   /// entries, in the same order, as responsible_hsdirs truncated to
-  /// `capacity`). Hot-path form used by ring caches.
+  /// `capacity`). Hot-path form used by publish and fetch.
   std::size_t responsible_hsdirs_into(const crypto::DescriptorId& descriptor_id,
                                       const ConsensusEntry** out,
                                       std::size_t capacity) const;
-
-  /// Pre-index reference implementation: binary search over
-  /// hsdir_indices() dereferencing full entries per probe. Kept as the
-  /// oracle for the differential suite and the cold-path benches; not
-  /// for production call sites.
-  std::vector<const ConsensusEntry*> responsible_hsdirs_scan(
-      const crypto::DescriptorId& descriptor_id) const;
-
-  /// Batched ring lookup: responsible_hsdirs for every id, in input
-  /// order, fanned out across up to `threads` workers (<= 0 = one per
-  /// hardware thread). With the index enabled each worker sorts its
-  /// slice of query ids and resolves them in one merge walk over the
-  /// ring, then results are committed in caller order; lookups are pure
-  /// reads of this consensus, so the result is identical to the serial
-  /// per-id loop for every thread count and for both index settings.
-  std::vector<std::vector<const ConsensusEntry*>> responsible_hsdirs_batch(
-      const std::vector<crypto::DescriptorId>& ids, int threads = 0) const;
 
   /// The eytzinger ring index (built at construction; empty when there
   /// are no HSDirs).

@@ -4,99 +4,17 @@ namespace torsim::dirauth {
 
 namespace {
 
-util::CacheCounters& ring_counters() {
+util::CacheCounters& counters() {
   static util::CacheCounters counters;
   return counters;
 }
 
-ResponsibleSet to_set(const std::vector<const ConsensusEntry*>& entries) {
-  ResponsibleSet set;
-  for (const ConsensusEntry* e : entries) {
-    if (set.count >= set.dirs.size()) break;
-    set.dirs[set.count++] = e;
-  }
-  return set;
-}
-
-std::vector<const ConsensusEntry*> to_vector(const ResponsibleSet& set) {
-  return {set.dirs.begin(), set.dirs.begin() + set.count};
-}
-
-// Allocation-free ring walk straight into a ResponsibleSet (the
-// single-id hot path; the result matches to_set(responsible_hsdirs)).
-void fill_set(const Consensus& consensus, const crypto::DescriptorId& id,
-              ResponsibleSet& set) {
-  set.count = static_cast<std::uint8_t>(
-      consensus.responsible_hsdirs_into(id, set.dirs.data(), set.dirs.size()));
-}
-
 }  // namespace
 
-ResponsibleSetCache::ResponsibleSetCache(std::size_t capacity)
-    : table_(capacity) {}
+util::CacheStats ResponsibleSetCache::stats() { return counters().snapshot(); }
 
-void ResponsibleSetCache::sync_generation(const Consensus& consensus) {
-  if (generation_ == consensus.generation()) return;
-  table_.clear();
-  generation_ = consensus.generation();
-}
+void ResponsibleSetCache::reset_stats() { counters().reset(); }
 
-const ResponsibleSet& ResponsibleSetCache::responsible(
-    const Consensus& consensus, const crypto::DescriptorId& id) {
-  if (!util::memo_enabled()) {
-    fill_set(consensus, id, scratch_);
-    return scratch_;
-  }
-  sync_generation(consensus);
-  if (const ResponsibleSet* hit = table_.find(id)) {
-    ring_counters().hit();
-    return *hit;
-  }
-  ring_counters().miss();
-  fill_set(consensus, id, scratch_);
-  if (table_.store(id, scratch_)) ring_counters().evict();
-  return scratch_;
-}
-
-std::vector<std::vector<const ConsensusEntry*>> ResponsibleSetCache::batch(
-    const Consensus& consensus, const std::vector<crypto::DescriptorId>& ids,
-    int threads) {
-  if (!util::memo_enabled())
-    return consensus.responsible_hsdirs_batch(ids, threads);
-  sync_generation(consensus);
-
-  std::vector<std::vector<const ConsensusEntry*>> out(ids.size());
-  std::vector<std::size_t> miss_indices;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (const ResponsibleSet* hit = table_.find(ids[i])) {
-      ring_counters().hit();
-      out[i] = to_vector(*hit);
-    } else {
-      ring_counters().miss();
-      miss_indices.push_back(i);
-    }
-  }
-  if (!miss_indices.empty()) {
-    // Misses fan out through the existing parallel ring walk (pure
-    // reads of the consensus); the commit back into the cache stays on
-    // this thread, in input order.
-    std::vector<crypto::DescriptorId> miss_ids;
-    miss_ids.reserve(miss_indices.size());
-    for (const std::size_t i : miss_indices) miss_ids.push_back(ids[i]);
-    auto computed = consensus.responsible_hsdirs_batch(miss_ids, threads);
-    for (std::size_t j = 0; j < miss_indices.size(); ++j) {
-      if (table_.store(miss_ids[j], to_set(computed[j])))
-        ring_counters().evict();
-      out[miss_indices[j]] = std::move(computed[j]);
-    }
-  }
-  return out;
-}
-
-util::CacheStats ResponsibleSetCache::stats() {
-  return ring_counters().snapshot();
-}
-
-void ResponsibleSetCache::reset_stats() { ring_counters().reset(); }
+void ResponsibleSetCache::count_walk() { counters().miss(); }
 
 }  // namespace torsim::dirauth

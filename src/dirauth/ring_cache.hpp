@@ -1,74 +1,23 @@
-// Consensus-generation-keyed cache for responsible-HSDir ring walks.
-//
-// The publish/fetch hot paths resolve the same descriptor ids against
-// the same hourly consensus over and over (every client retry, every
-// replica, every harvester round). A ring walk is a pure function of
-// (consensus, descriptor-id), so its result can be memoized for as long
-// as the consensus stands: the cache stamps the Consensus::generation()
-// it was filled under and drops everything the moment a different
-// consensus shows up. Cached entry pointers therefore always point into
-// the live consensus' entries() buffer (see the generation semantics in
-// consensus.hpp — copies re-stamp, moves carry the buffer and stamp).
-//
-// Not thread-safe by design: publish and fetch run in serial sections
-// (hsdir::DirectoryNetworkConfig), and the batch path keeps all cache
-// mutation on the calling thread while misses fan out read-only.
+// Ring-walk telemetry for DirectoryNetwork::fetch_from. Each fetch
+// counts one walk, as a miss: nothing caches ring walks, so hits stay
+// 0. The torbench harness reads these counters by name (as
+// dirauth.ring_lookups and dirauth.ring_cache_hit_ratio), which is why
+// the class keeps its name; it stays until a sanctioned benchmark
+// change.
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <vector>
-
-#include "dirauth/consensus.hpp"
 #include "util/memo.hpp"
 
 namespace torsim::dirauth {
 
-/// One memoized ring walk: up to kHsDirsPerReplica responsible
-/// directory entries, in ring order.
-struct ResponsibleSet {
-  std::array<const ConsensusEntry*, crypto::kHsDirsPerReplica> dirs{};
-  std::uint8_t count = 0;
-};
-
 class ResponsibleSetCache {
  public:
-  explicit ResponsibleSetCache(std::size_t capacity = 8192);
-
-  /// The responsible set for `id` under `consensus`, from the cache
-  /// when util::memo_enabled() (computing and filling on miss). The
-  /// returned reference is invalidated by the next call.
-  const ResponsibleSet& responsible(const Consensus& consensus,
-                                    const crypto::DescriptorId& id);
-
-  /// Drop-in replacement for Consensus::responsible_hsdirs_batch with
-  /// cache prefill: cached ids are answered serially, the misses fan
-  /// out through the parallel batch lookup, and results commit back
-  /// into the cache in input order — output is identical to the
-  /// uncached batch for every thread count and cache setting.
-  std::vector<std::vector<const ConsensusEntry*>> batch(
-      const Consensus& consensus,
-      const std::vector<crypto::DescriptorId>& ids, int threads);
-
-  /// Process-wide hit/miss/evict totals across every instance (bench
-  /// "cache" telemetry; never part of the metrics goldens).
+  /// Process-wide count of fetch_from ring walks (hits are always 0).
   static util::CacheStats stats();
   static void reset_stats();
 
- private:
-  struct IdHash {
-    std::uint64_t operator()(const crypto::DescriptorId& id) const {
-      return util::memo_mix_bytes(id.data(), id.size());
-    }
-  };
-
-  /// Clears the table when `consensus` is not the one it was filled
-  /// under.
-  void sync_generation(const Consensus& consensus);
-
-  util::MemoTable<crypto::DescriptorId, ResponsibleSet, IdHash> table_;
-  std::uint64_t generation_ = 0;
-  ResponsibleSet scratch_;
+  /// Records one ring walk.
+  static void count_walk();
 };
 
 }  // namespace torsim::dirauth

@@ -1,17 +1,11 @@
 #include "dirauth/ring_index.hpp"
 
-#include <atomic>
 #include <bit>
 #include <utility>
 
 namespace torsim::dirauth {
 
 namespace {
-
-std::atomic<bool>& ring_index_flag() {
-  static std::atomic<bool> enabled{true};
-  return enabled;
-}
 
 // Big-endian first 8 bytes of a digest — the eytzinger node key
 // (compiles to one load + byte swap).
@@ -22,14 +16,6 @@ std::uint64_t prefix_of(const crypto::Sha1Digest& digest) {
 }
 
 }  // namespace
-
-bool ring_index_enabled() {
-  return ring_index_flag().load(std::memory_order_relaxed);
-}
-
-void set_ring_index_enabled(bool enabled) {
-  ring_index_flag().store(enabled, std::memory_order_relaxed);
-}
 
 RingIndex::RingIndex(std::vector<crypto::Fingerprint> ring_fingerprints,
                      std::vector<std::uint32_t> entry_indices)
@@ -79,23 +65,6 @@ std::size_t RingIndex::first_after(const crypto::Sha1Digest& id) const {
   // for duplicates and adversarial keys).
   while (r > 0 && prefix_of(sorted_[r - 1]) == p && id < sorted_[r - 1]) --r;
   return r;
-}
-
-// detlint: hot
-void RingIndex::first_after_sorted(
-    const std::vector<crypto::DescriptorId>& ids, const std::uint32_t* order,
-    std::size_t count, std::uint32_t* ranks) const {
-  if (count == 0) return;
-  const std::size_t n = sorted_.size();
-  // Seed with one descent, then advance monotonically: the queries
-  // arrive ascending, so the successor rank can only move forward.
-  std::size_t j = first_after(ids[order[0]]);
-  ranks[order[0]] = static_cast<std::uint32_t>(j);
-  for (std::size_t q = 1; q < count; ++q) {
-    const crypto::DescriptorId& id = ids[order[q]];
-    while (j < n && !(id < sorted_[j])) ++j;
-    ranks[order[q]] = static_cast<std::uint32_t>(j);
-  }
 }
 
 }  // namespace torsim::dirauth

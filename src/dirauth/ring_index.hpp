@@ -14,13 +14,8 @@
 // landing node back to its ring position.
 //
 // The index is built once per consensus construction and is immutable
-// afterwards. The old sorted scan is kept in Consensus as
-// `responsible_hsdirs_scan` — the reference oracle the differential
-// suite (tests/ring_index_diff_test.cpp) replays randomized
-// populations against; `set_ring_index_enabled(false)` routes every
-// production lookup back through the oracle so benches can measure the
-// pre-index cold path and CI can byte-compare the two
-// (docs/performance.md).
+// afterwards. tests/ring_index_diff_test.cpp replays randomized
+// populations against the sorted-scan oracle in tests/oracles.hpp.
 #pragma once
 
 #include <cstdint>
@@ -30,29 +25,6 @@
 #include "crypto/keypair.hpp"
 
 namespace torsim::dirauth {
-
-/// Process-wide routing knob (bench --ring-index=on|off): when off,
-/// Consensus lookups take the kept sorted-scan oracle instead of the
-/// index. Both paths are byte-identical by contract; the knob exists so
-/// the differential gate and the cold-path benches can exercise each
-/// side on demand. Default on.
-bool ring_index_enabled();
-void set_ring_index_enabled(bool enabled);
-
-/// RAII toggle for tests and benches; restores the previous setting.
-class RingIndexEnabledGuard {
- public:
-  explicit RingIndexEnabledGuard(bool enabled)
-      : previous_(ring_index_enabled()) {
-    set_ring_index_enabled(enabled);
-  }
-  ~RingIndexEnabledGuard() { set_ring_index_enabled(previous_); }
-  RingIndexEnabledGuard(const RingIndexEnabledGuard&) = delete;
-  RingIndexEnabledGuard& operator=(const RingIndexEnabledGuard&) = delete;
-
- private:
-  bool previous_;
-};
 
 class RingIndex {
  public:
@@ -72,15 +44,6 @@ class RingIndex {
   /// than `id`. Returns size() when every fingerprint is <= id — the
   /// wraparound case; callers index with `rank % size()`.
   std::size_t first_after(const crypto::Sha1Digest& id) const;
-
-  /// Successor ranks for a pre-sorted sequence of ids in one merge walk
-  /// over the ring: `order` lists indices into `ids` in ascending id
-  /// order, and ranks[order[j]] receives first_after(ids[order[j]]).
-  /// O(m + n) for the whole batch instead of m log n descents, and
-  /// byte-identical to per-id first_after (wraparound included).
-  void first_after_sorted(const std::vector<crypto::DescriptorId>& ids,
-                          const std::uint32_t* order, std::size_t count,
-                          std::uint32_t* ranks) const;
 
   /// Caller-side handle of the HSDir at `rank` (entries() index).
   std::uint32_t entry_index(std::size_t rank) const {

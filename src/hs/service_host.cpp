@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "dirauth/ring_cache.hpp"
-
 namespace torsim::hs {
 
 ServiceHost::ServiceHost(crypto::KeyPair key, util::UnixTime created)

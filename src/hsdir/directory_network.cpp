@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "dirauth/ring_cache.hpp"
+
 namespace torsim::hsdir {
 
 std::vector<relay::RelayId> DirectoryNetwork::publish(
@@ -81,8 +83,11 @@ std::optional<Descriptor> DirectoryNetwork::fetch_from(
   // circuit on them.
   if (config_.metrics != nullptr)
     config_.metrics->counter("hsdir.fetch_attempts").inc();
-  const dirauth::ResponsibleSet& responsible =
-      ring_cache_.responsible(consensus, id);
+  dirauth::ResponsibleSet responsible;
+  responsible.count =
+      static_cast<std::uint8_t>(consensus.responsible_hsdirs_into(
+          id, responsible.dirs.data(), responsible.dirs.size()));
+  dirauth::ResponsibleSetCache::count_walk();
   for (std::uint8_t k = 0; k < responsible.count; ++k) {
     const dirauth::ConsensusEntry* e = responsible.dirs[k];
     if (config_.metrics != nullptr)

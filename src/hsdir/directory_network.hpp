@@ -7,7 +7,6 @@
 #include <span>
 
 #include "dirauth/consensus.hpp"
-#include "dirauth/ring_cache.hpp"
 #include "fault/injector.hpp"
 #include "hsdir/store.hpp"
 #include "obs/metrics.hpp"
@@ -101,11 +100,6 @@ class DirectoryNetwork {
   std::map<relay::RelayId, DescriptorStore> stores_;
   const fault::FaultInjector* injector_ = nullptr;
   fault::FailureLog failure_log_;
-  // Memoized fetch_from ring walks, keyed by consensus generation.
-  // Fetches run in serial sections (see DirectoryNetworkConfig), so the
-  // cache needs no lock; values are pure, so results are identical
-  // with the cache on or off (docs/performance.md).
-  dirauth::ResponsibleSetCache ring_cache_;
 };
 
 }  // namespace torsim::hsdir

@@ -22,7 +22,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/stopwatch.hpp"
-#include "util/memo.hpp"
 
 namespace torsim::obs {
 
@@ -128,45 +127,12 @@ class BenchReport {
                      double real_time_seconds, double cpu_time_seconds,
                      std::int64_t iterations);
 
-  /// Recorded benchmark runs, in recording order (bench mains read
-  /// these back to derive oracle-vs-indexed speedups).
-  const std::vector<BenchmarkRun>& benchmarks() const { return benchmarks_; }
-
   /// The counter section: subsystem configs point at this registry.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
   /// The non-golden wall-clock section.
   PhaseTimer& phases() { return phases_; }
-
-  /// The "cache" telemetry section: whether the memo caches were
-  /// enabled for this run, plus per-cache hit/miss/evict totals (the
-  /// bench harness snapshots them in finish()). Perf telemetry like
-  /// wall_clock — totals vary with sharding/thread count, so they stay
-  /// out of the deterministic counters section.
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  void set_cache_stats(const std::string& cache_name,
-                       const util::CacheStats& stats) {
-    cache_stats_[cache_name] = stats;
-  }
-
-  /// The optional "index" telemetry section (emitted only once
-  /// set_index_enabled has been called, so non-ring bench documents are
-  /// unchanged): whether the eytzinger ring index was routing lookups
-  /// for this run, plus per-kernel oracle-vs-indexed cold-path timings.
-  /// Perf telemetry like wall_clock — timings move machine to machine,
-  /// so the section never feeds the deterministic gates
-  /// (tools/diff_bench_rows.py ignores it; tools/check_bench_json.py
-  /// validates its shape).
-  void set_index_enabled(bool enabled) {
-    index_enabled_ = enabled;
-    index_section_present_ = true;
-  }
-  void set_index_stat(const std::string& kernel_name, double oracle_seconds,
-                      double indexed_seconds) {
-    index_stats_[kernel_name] = {oracle_seconds, indexed_seconds};
-    index_section_present_ = true;
-  }
 
   /// The optional "serve" telemetry section (emitted only once this
   /// has been called, so non-serving bench documents are unchanged):
@@ -207,11 +173,6 @@ class BenchReport {
     double measured = 0.0;
     double paper = 0.0;
   };
-  struct IndexStat {
-    double oracle_seconds = 0.0;
-    double indexed_seconds = 0.0;
-  };
-
   std::string name_;
   double scale_ = 1.0;
   std::string current_section_;
@@ -220,11 +181,6 @@ class BenchReport {
   std::vector<ScenarioSummary> scenarios_;
   MetricsRegistry metrics_;
   PhaseTimer phases_;
-  bool cache_enabled_ = true;
-  std::map<std::string, util::CacheStats> cache_stats_;  // ordered emission
-  bool index_section_present_ = false;
-  bool index_enabled_ = true;
-  std::map<std::string, IndexStat> index_stats_;  // ordered emission
   bool serve_section_present_ = false;
   ServeSummary serve_;
   bool population_section_present_ = false;

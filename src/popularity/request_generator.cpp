@@ -1,6 +1,7 @@
 #include "popularity/request_generator.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace torsim::popularity {
 
@@ -20,6 +21,14 @@ RequestStream RequestGenerator::generate(
       static_cast<double>(2 * util::kSecondsPerHour);
 
   // --- Real requests: Poisson per requested service -----------------
+  // Each service's ids are derived once per period it is asked for: a
+  // 2 h window plus +-1 day of clock skew touches at most 4 periods, so
+  // a linear scan of this list beats any lookup structure.
+  struct PeriodIds {
+    std::uint32_t period;
+    std::array<crypto::DescriptorId, crypto::kNumReplicas> ids;
+  };
+  std::vector<PeriodIds> derived;
   for (const population::Population::ServiceRef svc : pop.services()) {
     if (svc.requests_per_2h() <= 0.0) continue;
     const std::int64_t n =
@@ -28,6 +37,14 @@ RequestStream RequestGenerator::generate(
     ++stream.real_ids;  // counts requested services; ids tallied below
     const auto permanent_id =
         crypto::permanent_id_from_fingerprint(svc.key().fingerprint());
+    derived.clear();
+    const auto ids_for = [&](std::uint32_t period) -> const PeriodIds& {
+      for (const PeriodIds& entry : derived)
+        if (entry.period == period) return entry;
+      derived.push_back(
+          {period, crypto::descriptor_ids_for_period(permanent_id, period)});
+      return derived.back();
+    };
     for (std::int64_t i = 0; i < n; ++i) {
       DescriptorRequest req;
       req.time = t0 + rng.uniform_int(0, config_.window_length - 1);
@@ -42,9 +59,9 @@ RequestStream RequestGenerator::generate(
         derive_time += util::kSecondsPerDay;
       const auto replica = static_cast<std::uint8_t>(
           rng.uniform_int(0, crypto::kNumReplicas - 1));
-      req.descriptor_id = crypto::descriptor_id(
-          permanent_id, crypto::time_period(derive_time, permanent_id),
-          replica);
+      req.descriptor_id =
+          ids_for(crypto::time_period(derive_time, permanent_id))
+              .ids[replica];
       stream.requests.push_back(req);
       ++stream.real_requests;
     }

@@ -2,7 +2,7 @@
 // hour by hour, firing timed event blocks and sampling a deterministic
 // timeline. The whole run is a pure function of (pack, fault override):
 // the timeline CSV and the metrics snapshot are byte-identical for every
-// --threads value and with the memo caches on or off — which is what
+// --threads value — which is what
 // makes the committed goldens under scenarios/golden/ possible (see
 // docs/scenarios.md and tests/scenario_golden_test.cpp).
 #pragma once

@@ -1,180 +1,48 @@
-// Deterministic memoization primitives for the derivation / ring-lookup
-// hot paths (see docs/performance.md).
+// Work counters read by the torbench harness.
 //
-// The cache contract: a MemoTable only ever stores *pure* results — a
-// hit must return byte-for-byte what a fresh computation would. Under
-// that contract a cache can never change simulator output, only skip
-// work, so scenario goldens stay byte-identical cache-on vs cache-off
-// and across thread counts. The table is a fixed-capacity direct-mapped
-// array that is never iterated (detlint-clean by construction: no
-// unordered containers, no hash-order emission path exists) and never
-// grows (a colliding insert overwrites its slot — bounded memory, no
-// rehash, eviction is just overwrite).
-//
-// The process-wide --cache={on,off} knob lives here too: memo_enabled()
-// is consulted by every caching call site, and bump_memo_epoch() lets a
-// single thread invalidate every thread's thread_local shards without
-// touching their storage (each shard re-checks the epoch on next use).
+// Nothing in torsim is memoized (docs/performance.md, "No caches"). The
+// torbench harness still calls these names, so they stay until a
+// sanctioned benchmark change lets the harness drop them.
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace torsim::util {
 
-/// Process-wide cache knob (CLI --cache, bench --cache=). Default on.
-bool memo_enabled();
-void set_memo_enabled(bool enabled);
-
-/// Global invalidation epoch for thread_local cache shards. A shard
-/// stamps the epoch it was filled under and self-clears when the global
-/// value has moved on — the only race-free way to "clear" storage owned
-/// by other threads.
-std::uint64_t memo_epoch();
-void bump_memo_epoch();
-
-/// RAII toggle for tests/benches: forces the knob for a scope and
-/// restores the previous setting (bumping the epoch on the way in and
-/// out so no stale shard survives the transition).
-class MemoEnabledGuard {
- public:
-  explicit MemoEnabledGuard(bool enabled) : previous_(memo_enabled()) {
-    set_memo_enabled(enabled);
-    bump_memo_epoch();
-  }
-  ~MemoEnabledGuard() {
-    set_memo_enabled(previous_);
-    bump_memo_epoch();
-  }
-  MemoEnabledGuard(const MemoEnabledGuard&) = delete;
-  MemoEnabledGuard& operator=(const MemoEnabledGuard&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// Snapshot of one cache's lifetime totals.
+/// Snapshot of one counter block. Without caches nothing ever hits:
+/// every counted operation is recorded as a miss, so lookups() is the
+/// number of operations done.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
 
   std::uint64_t lookups() const { return hits + misses; }
 };
 
-/// Relaxed atomic hit/miss/evict counters shared by every shard of one
-/// logical cache. Perf telemetry only: totals depend on sharding (and
-/// therefore on the thread count), so they are exported in the bench
-/// JSON "cache" section and deliberately kept OUT of MetricsRegistry,
-/// whose emission must stay byte-identical across thread counts and
-/// cache settings.
+/// Relaxed atomic counters. Perf telemetry only: kept out of
+/// MetricsRegistry, whose emission is golden-compared.
 class CacheCounters {
  public:
-  void hit() { hits_.fetch_add(1, std::memory_order_relaxed); }
-  void miss() { misses_.fetch_add(1, std::memory_order_relaxed); }
-  void evict() { evictions_.fetch_add(1, std::memory_order_relaxed); }
+  void miss(std::uint64_t count = 1) {
+    misses_.fetch_add(count, std::memory_order_relaxed);
+  }
 
   CacheStats snapshot() const {
     CacheStats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
     stats.misses = misses_.load(std::memory_order_relaxed);
-    stats.evictions = evictions_.load(std::memory_order_relaxed);
     return stats;
   }
 
-  void reset() {
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    evictions_.store(0, std::memory_order_relaxed);
-  }
+  void reset() { misses_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
 };
 
-/// FNV-1a over raw bytes — the slot-index mix for byte-array keys.
-/// Fully specified (no libstdc++ std::hash dependence), so slot layout
-/// is identical on every platform; layout never leaks into results
-/// anyway, but reproducible eviction counts make telemetry comparable.
-inline std::uint64_t memo_mix_bytes(const std::uint8_t* data,
-                                    std::size_t size,
-                                    std::uint64_t seed = 1469598103934665603ULL) {
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-inline std::uint64_t memo_mix_u64(std::uint64_t h, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (value >> shift) & 0xffULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Fixed-capacity direct-mapped memo table. One slot per hash bucket:
-/// find() probes exactly one slot, store() overwrites whatever lives
-/// there (an occupied slot with a different key counts as an eviction).
-/// Key and Value must be trivially comparable value types; Hasher is a
-/// stateless functor mapping Key -> std::uint64_t.
-template <typename Key, typename Value, typename Hasher>
-class MemoTable {
- public:
-  /// `capacity` is rounded up to a power of two (minimum 1).
-  explicit MemoTable(std::size_t capacity = 1024) {
-    std::size_t rounded = 1;
-    while (rounded < capacity) rounded <<= 1;
-    slots_.resize(rounded);
-    mask_ = rounded - 1;
-  }
-
-  std::size_t capacity() const { return slots_.size(); }
-
-  /// Pointer to the cached value, or nullptr on miss. The pointer is
-  /// invalidated by the next store() or clear().
-  // detlint: hot
-  const Value* find(const Key& key) const {
-    const Slot& slot = slots_[index_of(key)];
-    if (!slot.occupied || !(slot.key == key)) return nullptr;
-    return &slot.value;
-  }
-
-  /// Inserts (or refreshes) `key`; returns true when a *different* key
-  /// was evicted from the slot.
-  // detlint: hot
-  bool store(const Key& key, const Value& value) {
-    Slot& slot = slots_[index_of(key)];
-    const bool evicted = slot.occupied && !(slot.key == key);
-    slot.key = key;
-    slot.value = value;
-    slot.occupied = true;
-    return evicted;
-  }
-
-  void clear() {
-    for (Slot& slot : slots_) slot.occupied = false;
-  }
-
- private:
-  struct Slot {
-    Key key{};
-    Value value{};
-    bool occupied = false;
-  };
-
-  std::size_t index_of(const Key& key) const {
-    return static_cast<std::size_t>(Hasher{}(key)) & mask_;
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-};
+/// No-op: there is no cache left to invalidate. Kept because the
+/// torbench harness calls it before every pass; it stays until a
+/// sanctioned benchmark change.
+inline void bump_memo_epoch() {}
 
 }  // namespace torsim::util

@@ -312,6 +312,65 @@ TEST(DigestTest, DescriptorIdMatchesManualSpecComputation) {
             sha1(std::span<const std::uint8_t>(outer)));
 }
 
+TEST(DigestTest, MidstatePathMatchesPerReplicaDerivation) {
+  // descriptor_ids_for_period (lane kernel, shared midstate) must give
+  // each replica exactly what the per-replica descriptor_id computes,
+  // for public and cookie-bearing services alike.
+  util::Rng rng(502);
+  const std::vector<std::uint8_t> cookie = {0xde, 0xad, 0xbe, 0xef};
+  for (int i = 0; i < 50; ++i) {
+    PermanentId pid;
+    rng.fill_bytes(pid.data(), pid.size());
+    const auto period =
+        static_cast<std::uint32_t>(rng.uniform_int(15000, 16000));
+    const auto ids = descriptor_ids_for_period(pid, period);
+    const auto auth_ids = descriptor_ids_for_period(pid, period, cookie);
+    for (std::uint8_t replica = 0; replica < kNumReplicas; ++replica) {
+      EXPECT_EQ(ids[replica], descriptor_id(pid, period, replica));
+      EXPECT_EQ(auth_ids[replica],
+                descriptor_id(pid, period, replica, cookie));
+    }
+  }
+}
+
+TEST(DigestTest, CookieDerivationMatchesSpecAndDiffersFromPublic) {
+  // secret-id-part = SHA1(INT4(period) || cookie || BYTE(replica)): a
+  // stealth service's ids cannot be derived from its onion alone.
+  util::Rng rng(505);
+  PermanentId pid;
+  rng.fill_bytes(pid.data(), pid.size());
+  const std::vector<std::uint8_t> cookie = {1, 2, 3};
+  const std::uint32_t period = 15740;
+  const std::vector<std::uint8_t> inner = {
+      static_cast<std::uint8_t>(period >> 24),
+      static_cast<std::uint8_t>(period >> 16),
+      static_cast<std::uint8_t>(period >> 8),
+      static_cast<std::uint8_t>(period), 1, 2, 3, 0};
+  const auto secret = sha1(std::span<const std::uint8_t>(inner));
+  EXPECT_EQ(secret_id_part(period, 0, cookie), secret);
+  std::vector<std::uint8_t> outer(pid.begin(), pid.end());
+  outer.insert(outer.end(), secret.begin(), secret.end());
+  const DescriptorId stealth = descriptor_id(pid, period, 0, cookie);
+  EXPECT_EQ(stealth, sha1(std::span<const std::uint8_t>(outer)));
+  EXPECT_NE(stealth, descriptor_id(pid, period, 0));
+}
+
+TEST(DerivationStatsTest, CountsDerivedIdsAsMisses) {
+  // The harness-facing telemetry: every id descriptor_id or
+  // descriptor_ids_for_period derives is one miss; nothing ever hits.
+  reset_derivation_cache_stats();
+  PermanentId pid{};
+  descriptor_id(pid, 15740, 0);
+  descriptor_id(pid, 15740, 0);
+  descriptor_ids_for_period(pid, 15740);
+  const util::CacheStats stats = derivation_cache_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u + kNumReplicas);
+  EXPECT_EQ(stats.lookups(), 2u + kNumReplicas);
+  reset_derivation_cache_stats();
+  EXPECT_EQ(derivation_cache_stats().lookups(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // U160 ring arithmetic
 // ---------------------------------------------------------------------

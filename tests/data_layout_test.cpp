@@ -21,6 +21,7 @@
 #include "population/population.hpp"
 #include "relay/registry.hpp"
 #include "scan/port_scanner.hpp"
+#include "util/arena.hpp"
 #include "util/csv.hpp"
 #include "util/interner.hpp"
 #include "util/rng.hpp"
@@ -71,6 +72,28 @@ TEST(StringInternerTest, RoundTripProperty) {
     EXPECT_EQ(*interner.find(texts[i]), ids[i]);
   }
   EXPECT_FALSE(interner.find("never-interned").has_value());
+}
+
+TEST(StringInternerTest, EmptyStringInternsToEmptyView) {
+  util::StringInterner interner;
+  const auto empty = interner.intern("");
+  EXPECT_TRUE(interner.view(empty).empty());
+  EXPECT_EQ(interner.intern(std::string_view{}), empty);  // null data()
+  const auto word = interner.intern("word");
+  EXPECT_NE(word, empty);
+  EXPECT_EQ(interner.view(word), "word");
+  EXPECT_EQ(interner.size(), 2u);
+}
+
+TEST(ByteArenaTest, ZeroByteAppendReturnsEndOffset) {
+  util::ByteArena arena;
+  EXPECT_EQ(arena.append(nullptr, 0), 0u);
+  const std::uint8_t bytes[3] = {1, 2, 3};
+  EXPECT_EQ(arena.append(bytes, sizeof bytes), 0u);
+  const std::vector<std::uint8_t> none;
+  EXPECT_EQ(arena.append(none.data(), none.size()), 3u);
+  EXPECT_EQ(arena.bytes_used(), 3u);
+  EXPECT_EQ(arena.at(0)[2], 3);
 }
 
 TEST(StringInternerTest, OversizedStringGetsOwnBlock) {
@@ -369,6 +392,19 @@ TEST(ScanLabelTest, Figure1LabelsAreAnnotatedAndStable) {
     EXPECT_EQ(again[i].first.data(), rows[i].first.data());
   }
   EXPECT_EQ(util::global_interner().size(), interned_before);
+}
+
+TEST(ScanLabelTest, UnannotatedPortLabelIsBareDigits) {
+  // A port with no protocol annotation has an empty suffix: the label
+  // is the digits alone (and building it must not copy from the empty
+  // suffix's null data()).
+  scan::ScanReport report;
+  report.open_ports.add(8080, 5);
+  report.open_ports.add(80, 3);
+  const auto rows = report.figure1(1);
+  std::map<std::string_view, std::int64_t> by_label(rows.begin(), rows.end());
+  EXPECT_EQ(by_label["8080"], 5);
+  EXPECT_EQ(by_label["80-http"], 3);
 }
 
 TEST(ScanLabelTest, ScanCsvOutputUnchangedByLabelInterning) {

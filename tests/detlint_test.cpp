@@ -786,7 +786,7 @@ TEST(DetlintSources, AnnotatedHotKernelsAreAllocationFree) {
   const std::string root = std::string(TORSIM_SOURCE_DIR);
   for (const std::string rel :
        {"/src/dirauth/ring_index.cpp", "/src/crypto/sha1_batch.cpp",
-        "/src/util/memo.hpp", "/src/popularity/resolver.cpp"}) {
+        "/src/popularity/resolver.cpp"}) {
     const std::string path = root + rel;
     const std::string content = read_file(path);
     ASSERT_FALSE(content.empty()) << path;

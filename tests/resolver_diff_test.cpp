@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "crypto/digest.hpp"
+#include "oracles.hpp"
 #include "popularity/request_generator.hpp"
 #include "popularity/resolver.hpp"
 #include "util/rng.hpp"
@@ -32,7 +33,7 @@ class OracleResolver {
       const auto pid = crypto::parse_onion_address(onion);
       for (util::UnixTime t = from; t < to; t += util::kSecondsPerDay)
         for (const crypto::DescriptorId& id :
-             crypto::descriptor_ids_for_period_scalar(
+             oracle::descriptor_ids_for_period_scalar(
                  pid, crypto::time_period(t, pid)))
           dictionary_[id] = onion;
     }

@@ -1,27 +1,30 @@
 // Differential suite for the eytzinger HSDir ring index
-// (dirauth/ring_index.hpp): the kept sorted-scan oracle
-// (Consensus::responsible_hsdirs_scan) is replayed against the indexed
-// paths over randomized populations and query schedules — single
-// lookups, the merge-walk batch, the ResponsibleSetCache, and the
-// property edge cases (empty ring, < kHsDirsPerReplica HSDirs,
-// duplicate fingerprints, exact-hit and past-ring-max queries), at
-// cache on/off x threads 1/4/8.
+// (dirauth/ring_index.hpp): the sorted-scan oracle
+// (oracle::responsible_hsdirs_scan, tests/oracles.hpp) is replayed
+// against the indexed lookup over randomized populations and query
+// schedules, plus the property edge cases (empty ring,
+// < kHsDirsPerReplica HSDirs, duplicate fingerprints, exact-hit and
+// past-ring-max queries, copies and moves).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "crypto/digest.hpp"
+#include "dirauth/authority.hpp"
 #include "dirauth/consensus.hpp"
-#include "dirauth/ring_cache.hpp"
 #include "dirauth/ring_index.hpp"
-#include "util/memo.hpp"
+#include "oracles.hpp"
+#include "relay/registry.hpp"
 #include "util/rng.hpp"
 
 namespace torsim::dirauth {
 namespace {
+
+using oracle::responsible_hsdirs_scan;
 
 // A consensus of `hsdirs` HSDir-flagged relays plus `others` plain
 // relays (the index must skip non-HSDirs like the oracle does).
@@ -65,37 +68,19 @@ std::vector<crypto::DescriptorId> adversarial_ids(util::Rng& rng,
   ids.push_back(all_ff);
   crypto::DescriptorId all_00{};
   ids.push_back(all_00);
-  // Duplicates: the batch path must answer repeats identically.
+  // Duplicates: repeats must be answered identically.
   const std::size_t base = ids.size();
   for (std::size_t i = 0; i < std::min<std::size_t>(8, base); ++i)
     ids.push_back(ids[i * 3 % base]);
   return ids;
 }
 
-void expect_same_sets(
-    const std::vector<std::vector<const ConsensusEntry*>>& got,
-    const std::vector<std::vector<const ConsensusEntry*>>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got[i], want[i]) << "query " << i;
-}
-
 TEST(RingIndexDiffTest, RandomizedPopulationsMatchScanOracle) {
   util::Rng rng(501);
   for (const int hsdirs : {1, 2, 3, 5, 64, 1300}) {
     const Consensus c = make_consensus(rng, hsdirs, hsdirs / 3);
-    const auto ids = adversarial_ids(rng, c);
-    for (const auto& id : ids) {
-      const auto oracle = c.responsible_hsdirs_scan(id);
-      {
-        const RingIndexEnabledGuard on(true);
-        EXPECT_EQ(c.responsible_hsdirs(id), oracle);
-      }
-      {
-        const RingIndexEnabledGuard off(false);
-        EXPECT_EQ(c.responsible_hsdirs(id), oracle);
-      }
-    }
+    for (const auto& id : adversarial_ids(rng, c))
+      EXPECT_EQ(c.responsible_hsdirs(id), responsible_hsdirs_scan(c, id));
   }
 }
 
@@ -107,22 +92,22 @@ TEST(RingIndexDiffTest, EmptyConsensusAndNoHsdirs) {
   for (const Consensus* c : {&empty, &no_hsdirs}) {
     EXPECT_TRUE(c->ring_index().empty());
     EXPECT_TRUE(c->responsible_hsdirs(id).empty());
-    EXPECT_TRUE(c->responsible_hsdirs_scan(id).empty());
+    EXPECT_TRUE(responsible_hsdirs_scan(*c, id).empty());
     const ConsensusEntry* buf[crypto::kHsDirsPerReplica];
     EXPECT_EQ(c->responsible_hsdirs_into(id, buf, crypto::kHsDirsPerReplica),
               0u);
-    EXPECT_TRUE(c->responsible_hsdirs_batch({id, id}, 1)[0].empty());
   }
 }
 
 TEST(RingIndexDiffTest, FewerHsdirsThanReplicaSetWraps) {
   // With n < kHsDirsPerReplica the responsible set is the whole ring,
-  // starting at the successor — both paths must agree on the rotation.
+  // starting at the successor — index and oracle must agree on the
+  // rotation.
   util::Rng rng(503);
   for (const int hsdirs : {1, 2}) {
     const Consensus c = make_consensus(rng, hsdirs, 2);
     for (const auto& id : adversarial_ids(rng, c)) {
-      const auto oracle = c.responsible_hsdirs_scan(id);
+      const auto oracle = responsible_hsdirs_scan(c, id);
       EXPECT_EQ(oracle.size(), static_cast<std::size_t>(hsdirs));
       EXPECT_EQ(c.responsible_hsdirs(id), oracle);
     }
@@ -149,78 +134,30 @@ TEST(RingIndexDiffTest, DuplicateFingerprintsMatchOracle) {
   }
   const Consensus c(0, std::move(entries));
   for (const auto& id : adversarial_ids(rng, c))
-    EXPECT_EQ(c.responsible_hsdirs(id), c.responsible_hsdirs_scan(id));
+    EXPECT_EQ(c.responsible_hsdirs(id), responsible_hsdirs_scan(c, id));
 }
 
-TEST(RingIndexDiffTest, BatchMatchesSinglesAcrossThreadsAndSettings) {
-  util::Rng rng(505);
-  const Consensus c = make_consensus(rng, 200, 40);
-  auto ids = adversarial_ids(rng, c);
-  const auto more = random_ids(rng, 3000);  // force multiple walk chunks
-  ids.insert(ids.end(), more.begin(), more.end());
-
-  std::vector<std::vector<const ConsensusEntry*>> oracle;
-  oracle.reserve(ids.size());
-  for (const auto& id : ids) oracle.push_back(c.responsible_hsdirs_scan(id));
-
-  for (const bool index_on : {true, false}) {
-    const RingIndexEnabledGuard index_guard(index_on);
-    for (const int threads : {1, 4, 8})
-      expect_same_sets(c.responsible_hsdirs_batch(ids, threads), oracle);
+TEST(RingIndexDiffTest, AuthorityConsensusMatchesScanOracle) {
+  // A consensus built by the authority from live relays, so the ring
+  // is whatever subset earned the HSDir flag.
+  constexpr util::UnixTime kT0 = 1359676800;  // 2013-02-01
+  util::Rng rng(20130204);
+  relay::Registry registry;
+  for (int i = 0; i < 40; ++i) {
+    relay::RelayConfig rc;
+    rc.nickname = "n" + std::to_string(i);
+    rc.address = util::Ipv4::random_public(rng);
+    rc.bandwidth_kbps = 100.0;
+    const auto id =
+        registry.create(rc, rng, kT0 - 30 * util::kSecondsPerHour);
+    registry.get(id).set_online(true, kT0 - 30 * util::kSecondsPerHour);
   }
-}
-
-TEST(RingIndexDiffTest, ResponsibleSetCacheMatchesOracle) {
-  util::Rng rng(506);
-  const Consensus c = make_consensus(rng, 300, 50);
-  auto ids = adversarial_ids(rng, c);
-  const auto more = random_ids(rng, 500);
-  ids.insert(ids.end(), more.begin(), more.end());
-
-  std::vector<std::vector<const ConsensusEntry*>> oracle;
-  oracle.reserve(ids.size());
-  for (const auto& id : ids) oracle.push_back(c.responsible_hsdirs_scan(id));
-
-  for (const bool index_on : {true, false}) {
-    const RingIndexEnabledGuard index_guard(index_on);
-    for (const bool cache_on : {false, true}) {
-      const util::MemoEnabledGuard cache_guard(cache_on);
-      for (const int threads : {1, 4, 8}) {
-        ResponsibleSetCache cache;
-        expect_same_sets(cache.batch(c, ids, threads), oracle);
-        // Single-id path, including repeat lookups (cache hits).
-        for (std::size_t i = 0; i < ids.size(); i += 97) {
-          const ResponsibleSet& set = cache.responsible(c, ids[i]);
-          ASSERT_EQ(set.count, oracle[i].size());
-          for (std::size_t k = 0; k < set.count; ++k)
-            EXPECT_EQ(set.dirs[k], oracle[i][k]);
-          const ResponsibleSet& again = cache.responsible(c, ids[i]);
-          EXPECT_EQ(again.count, set.count);
-        }
-      }
-    }
-  }
-}
-
-TEST(RingIndexDiffTest, FirstAfterSortedMatchesPerIdDescent) {
-  // The merge walk must equal per-id first_after for every query,
-  // including duplicate ids and the wraparound sentinel (rank == n).
-  util::Rng rng(507);
-  const Consensus c = make_consensus(rng, 128, 0);
-  const RingIndex& index = c.ring_index();
-  auto ids = adversarial_ids(rng, c);
-  std::vector<std::uint32_t> order(ids.size());
-  for (std::size_t i = 0; i < order.size(); ++i)
-    order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (ids[a] != ids[b]) return ids[a] < ids[b];
-              return a < b;
-            });
-  std::vector<std::uint32_t> ranks(ids.size());
-  index.first_after_sorted(ids, order.data(), order.size(), ranks.data());
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    EXPECT_EQ(ranks[i], index.first_after(ids[i])) << "query " << i;
+  Authority authority;
+  const Consensus consensus = authority.build_consensus(registry, kT0);
+  ASSERT_FALSE(consensus.ring_index().empty());
+  for (const auto& id : random_ids(rng, 64))
+    EXPECT_EQ(consensus.responsible_hsdirs(id),
+              responsible_hsdirs_scan(consensus, id));
 }
 
 TEST(RingIndexDiffTest, IndexSurvivesCopyAndMove) {
@@ -228,7 +165,8 @@ TEST(RingIndexDiffTest, IndexSurvivesCopyAndMove) {
   Consensus original = make_consensus(rng, 50, 10);
   const auto ids = random_ids(rng, 64);
   std::vector<std::vector<const ConsensusEntry*>> oracle;
-  for (const auto& id : ids) oracle.push_back(original.responsible_hsdirs_scan(id));
+  for (const auto& id : ids)
+    oracle.push_back(responsible_hsdirs_scan(original, id));
   const auto check = [&](const Consensus& c) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
       const auto got = c.responsible_hsdirs(ids[i]);

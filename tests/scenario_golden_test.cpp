@@ -1,9 +1,9 @@
 // Golden regression gate for the scenario engine (`ctest -L scenario`):
 // every curated pack under scenarios/ must replay byte-identically —
 // timeline CSV and metrics JSON — against the committed goldens under
-// scenarios/golden/, at --threads 1/4/8 with the memo caches on and
-// off. A diff here means the simulation's observable history changed;
-// regenerate deliberately (docs/scenarios.md) or fix the regression.
+// scenarios/golden/, at --threads 1/4/8. A diff here means the
+// simulation's observable history changed; regenerate deliberately
+// (docs/scenarios.md) or fix the regression.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,7 +15,6 @@
 #include "scenario/engine.hpp"
 #include "scenario/pack.hpp"
 #include "util/csv.hpp"
-#include "util/memo.hpp"
 
 namespace torsim::scenario {
 namespace {
@@ -78,16 +77,11 @@ TEST_P(ScenarioGoldenTest, ReplaysByteIdenticalAcrossThreadsAndCache) {
   ASSERT_FALSE(golden_metrics.empty());
 
   for (const int threads : {1, 4, 8}) {
-    for (const bool cache : {true, false}) {
-      util::MemoEnabledGuard guard(cache);
-      const RunBytes bytes = run_bytes(pack, threads);
-      EXPECT_EQ(bytes.timeline_csv, golden_csv)
-          << pack.name << " timeline diverged at threads=" << threads
-          << " cache=" << (cache ? "on" : "off");
-      EXPECT_EQ(bytes.metrics_json, golden_metrics)
-          << pack.name << " metrics diverged at threads=" << threads
-          << " cache=" << (cache ? "on" : "off");
-    }
+    const RunBytes bytes = run_bytes(pack, threads);
+    EXPECT_EQ(bytes.timeline_csv, golden_csv)
+        << pack.name << " timeline diverged at threads=" << threads;
+    EXPECT_EQ(bytes.metrics_json, golden_metrics)
+        << pack.name << " metrics diverged at threads=" << threads;
   }
 }
 
@@ -130,7 +124,7 @@ TEST(ScenarioPackInventoryTest, ListPacksSkipsSubdirectories) {
 
 // Chaos composition: a scenario replayed on top of a --faults override
 // (the CLI's random-fault knob) must still be a pure function of the
-// seed — identical bytes at every thread count and cache mode, even
+// seed — identical bytes at every thread count, even
 // though the override changes the history itself.
 TEST(ScenarioChaosComposeTest, FaultOverrideStaysDeterministic) {
   const ScenarioPack pack = load_pack(kScenarioDir, "authority-outage");
@@ -139,14 +133,11 @@ TEST(ScenarioChaosComposeTest, FaultOverrideStaysDeterministic) {
             run_bytes(pack, 1).timeline_csv)
       << "severe fault override should visibly change the timeline";
   for (const int threads : {4, 8}) {
-    for (const bool cache : {true, false}) {
-      util::MemoEnabledGuard guard(cache);
-      const RunBytes bytes = run_bytes(pack, threads, "severe");
-      EXPECT_EQ(bytes.timeline_csv, reference.timeline_csv)
-          << "threads=" << threads << " cache=" << cache;
-      EXPECT_EQ(bytes.metrics_json, reference.metrics_json)
-          << "threads=" << threads << " cache=" << cache;
-    }
+    const RunBytes bytes = run_bytes(pack, threads, "severe");
+    EXPECT_EQ(bytes.timeline_csv, reference.timeline_csv)
+        << "threads=" << threads;
+    EXPECT_EQ(bytes.metrics_json, reference.metrics_json)
+        << "threads=" << threads;
   }
 }
 

@@ -1,6 +1,6 @@
 // Serial-equivalence goldens for the parallel fan-out call sites: the
 // FIG1 port scan, the FIG2 content pipeline, the TAB2 descriptor-ID
-// dictionary, and the HSDir ring lookups must produce *byte-identical*
+// dictionary, and the harvest metrics and trace must produce *byte-identical*
 // output at threads = 1 (the legacy serial path) and threads = 4 —
 // same seed, same CSV, same summary. This is the determinism contract
 // of util::parallel (see docs/concurrency.md) checked end to end.
@@ -13,18 +13,15 @@
 
 #include "attack/harvester.hpp"
 #include "content/pipeline.hpp"
-#include "dirauth/authority.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/world.hpp"
 #include "popularity/request_generator.hpp"
 #include "popularity/resolver.hpp"
-#include "relay/registry.hpp"
 #include "scan/crawler.hpp"
 #include "scan/port_scanner.hpp"
 #include "util/csv.hpp"
 #include "util/encoding.hpp"
-#include "util/memo.hpp"
 
 namespace torsim {
 namespace {
@@ -318,91 +315,6 @@ TEST(SerialEquivalenceTest, HarvestMetricsAndTraceByteIdentical) {
     EXPECT_EQ(serial.first, parallel.first) << threads << " threads";
     EXPECT_EQ(serial.second, parallel.second) << threads << " threads";
   }
-}
-
-// ---------------------------------------------------------------------
-// Cache equivalence: the memo layer (descriptor-id derivations and ring
-// walks, docs/performance.md) may only skip work, never change results.
-// Every deterministic artifact — the TAB2 resolution CSV, the scan
-// metrics, the harvest metrics + trace — must be byte-identical
-// cache-on vs cache-off at threads 1, 4, and 8 (ISSUE 5 acceptance).
-// ---------------------------------------------------------------------
-
-TEST(SerialEquivalenceTest, Tab2ResolutionCacheOnOffByteIdentical) {
-  const auto run = [&](bool cache, int threads) {
-    const util::MemoEnabledGuard guard(cache);
-    popularity::RequestGenerator generator;
-    const auto stream = generator.generate(test_population());
-    popularity::DescriptorResolver resolver(
-        popularity::ResolverConfig{.threads = threads});
-    resolver.build_dictionary(test_population());
-    return resolution_summary_csv(
-        resolver.resolve(stream, test_population()),
-        "tab2_cache" + std::to_string(cache) + "_t" + std::to_string(threads));
-  };
-  for (int threads : {1, 4, 8}) {
-    EXPECT_EQ(run(true, threads), run(false, threads))
-        << threads << " threads";
-  }
-}
-
-TEST(SerialEquivalenceTest, ScanMetricsCacheOnOffByteIdentical) {
-  for (int threads : {1, 4, 8}) {
-    const auto cached = [&] {
-      const util::MemoEnabledGuard guard(true);
-      return scan_metrics_bytes(threads);
-    }();
-    const auto uncached = [&] {
-      const util::MemoEnabledGuard guard(false);
-      return scan_metrics_bytes(threads);
-    }();
-    EXPECT_EQ(cached.first, uncached.first) << threads << " threads";
-    EXPECT_EQ(cached.second, uncached.second) << threads << " threads";
-  }
-}
-
-TEST(SerialEquivalenceTest, HarvestObsCacheOnOffByteIdentical) {
-  for (int threads : {1, 4, 8}) {
-    const auto cached = [&] {
-      const util::MemoEnabledGuard guard(true);
-      return harvest_obs_bytes(threads);
-    }();
-    const auto uncached = [&] {
-      const util::MemoEnabledGuard guard(false);
-      return harvest_obs_bytes(threads);
-    }();
-    EXPECT_EQ(cached.first, uncached.first) << threads << " threads";
-    EXPECT_EQ(cached.second, uncached.second) << threads << " threads";
-  }
-}
-
-// ---------------------------------------------------------------------
-// HSDir ring lookups (the publish fan-out)
-// ---------------------------------------------------------------------
-
-TEST(SerialEquivalenceTest, ResponsibleHsdirsBatchMatchesSerialLoop) {
-  constexpr util::UnixTime kT0 = 1359676800;  // 2013-02-01
-  util::Rng rng(20130204);
-  relay::Registry registry;
-  for (int i = 0; i < 40; ++i) {
-    relay::RelayConfig rc;
-    rc.nickname = "n" + std::to_string(i);
-    rc.address = util::Ipv4::random_public(rng);
-    rc.bandwidth_kbps = 100.0;
-    const auto id =
-        registry.create(rc, rng, kT0 - 30 * util::kSecondsPerHour);
-    registry.get(id).set_online(true, kT0 - 30 * util::kSecondsPerHour);
-  }
-  dirauth::Authority authority;
-  const auto consensus = authority.build_consensus(registry, kT0);
-
-  std::vector<crypto::DescriptorId> ids(64);
-  for (auto& id : ids) rng.fill_bytes(id.data(), id.size());
-
-  const auto batched = consensus.responsible_hsdirs_batch(ids, 4);
-  ASSERT_EQ(batched.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    EXPECT_EQ(batched[i], consensus.responsible_hsdirs(ids[i])) << i;
 }
 
 }  // namespace

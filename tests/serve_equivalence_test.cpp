@@ -1,8 +1,8 @@
 // The serve equivalence gate (`ctest -L serve`): the same request mix
 // answered through the full daemon path — unix socket, framing,
 // admission control, batching — must be byte-identical to the serial
-// in-process reference, across thread counts, memo cache on/off,
-// admission pressure, and connection chaos. The default mix is also
+// in-process reference, across thread counts, admission pressure, and
+// connection chaos. The default mix is also
 // pinned to committed goldens under tests/testdata/serve/; regenerate
 // deliberately with TORSIM_SERVE_REGEN=1 (docs/serving.md).
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "serve/proto.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
-#include "util/memo.hpp"
 
 namespace {
 
@@ -137,25 +136,16 @@ void check_or_regen(const std::string& name, const std::string& actual) {
 
 TEST(ServeEquivalence, DefaultMixMatchesGoldenAcrossThreadsAndCache) {
   const std::vector<Request> mix = canonical_mix();
-  bool first = true;
-  for (const int threads : {1, 4, 8}) {
-    for (const bool cache : {true, false}) {
-      util::MemoEnabledGuard guard(cache);
-      const RunBytes bytes = run_direct(mix, threads);
-      if (first) {
-        check_or_regen("default_mix.responses.txt", bytes.responses);
-        check_or_regen("default_mix.metrics.json", bytes.metrics_json);
-        first = false;
-      } else {
-        // Later configurations are compared in-process (one golden on
-        // disk, every configuration pinned to it).
-        const RunBytes reference = run_direct(mix, 1);
-        EXPECT_EQ(bytes.responses, reference.responses)
-            << "threads=" << threads << " cache=" << (cache ? "on" : "off");
-        EXPECT_EQ(bytes.metrics_json, reference.metrics_json)
-            << "threads=" << threads << " cache=" << (cache ? "on" : "off");
-      }
-    }
+  const RunBytes reference = run_direct(mix, 1);
+  check_or_regen("default_mix.responses.txt", reference.responses);
+  check_or_regen("default_mix.metrics.json", reference.metrics_json);
+  // Other thread counts are compared in-process (one golden on disk,
+  // every configuration pinned to it).
+  for (const int threads : {4, 8}) {
+    const RunBytes bytes = run_direct(mix, threads);
+    EXPECT_EQ(bytes.responses, reference.responses) << "threads=" << threads;
+    EXPECT_EQ(bytes.metrics_json, reference.metrics_json)
+        << "threads=" << threads;
   }
 }
 

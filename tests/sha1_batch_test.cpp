@@ -14,7 +14,7 @@
 #include "crypto/digest.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha1_batch.hpp"
-#include "util/memo.hpp"
+#include "oracles.hpp"
 #include "util/rng.hpp"
 
 namespace torsim::crypto {
@@ -189,9 +189,8 @@ TEST(Sha1BatchTest, RandomizedMidstateSchedulesMatchScalar) {
 }
 
 TEST(Sha1BatchTest, DeriveIdsLaneWiringMatchesScalarOracle) {
-  // The production wiring: descriptor_ids_for_period(s) on the uncached
-  // path must reproduce the kept scalar oracle exactly, cookie or not.
-  const util::MemoEnabledGuard cache_guard(false);
+  // The production wiring: descriptor_ids_for_period(s) must reproduce
+  // the scalar oracle exactly, cookie or not.
   util::Rng rng(408);
   const Bytes cookie = random_bytes(rng, 16);
   for (int trial = 0; trial < 20; ++trial) {
@@ -210,39 +209,16 @@ TEST(Sha1BatchTest, DeriveIdsLaneWiringMatchesScalarOracle) {
       for (std::size_t p = 0; p < periods.size(); ++p) {
         const auto single =
             descriptor_ids_for_period(pid, periods[p], cspan);
-        const auto oracle =
-            descriptor_ids_for_period_scalar(pid, periods[p], cspan);
+        const auto want =
+            oracle::descriptor_ids_for_period_scalar(pid, periods[p], cspan);
         for (std::size_t r = 0; r < static_cast<std::size_t>(kNumReplicas);
              ++r) {
-          EXPECT_EQ(batched[p * kNumReplicas + r], oracle[r]);
-          EXPECT_EQ(single[r], oracle[r]);
+          EXPECT_EQ(batched[p * kNumReplicas + r], want[r]);
+          EXPECT_EQ(single[r], want[r]);
         }
       }
     }
   }
-}
-
-TEST(Sha1BatchTest, DeriveIdsCachedPathMatchesColdPath) {
-  // Memo on vs off must be byte-identical, and the multi-period batch
-  // always takes the lane kernel: it neither reads nor fills the memo.
-  util::Rng rng(409);
-  PermanentId pid{};
-  rng.fill_bytes(pid.data(), pid.size());
-  std::vector<std::uint32_t> periods = {15000, 15001, 15002};
-  std::vector<DescriptorId> cold, warm;
-  {
-    const util::MemoEnabledGuard off(false);
-    cold = descriptor_ids_for_periods(pid, periods);
-  }
-  {
-    const util::MemoEnabledGuard on(true);
-    reset_derivation_cache_stats();
-    warm = descriptor_ids_for_periods(pid, periods);
-    EXPECT_EQ(descriptor_ids_for_periods(pid, periods), warm);
-    EXPECT_EQ(derivation_cache_stats().lookups(), 0u);
-    EXPECT_EQ(secret_cache_stats().lookups(), 0u);
-  }
-  EXPECT_EQ(cold, warm);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // A `// detlint: hot` comment line directly above a function definition
 // marks it as a measured hot path (the eytzinger ring descent, the
-// SHA-1 lanes, the memo-table probes, the resolver tally loop). Inside
+// SHA-1 lanes, the resolver tally loop). Inside
 // the annotated function this pass flags anything that can hit the
 // allocator: `new`, make_unique/make_shared, `std::string`
 // construction, and the growing container calls. Hot kernels must work

@@ -50,7 +50,6 @@
 #include "trackdet/scenario.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
-#include "util/memo.hpp"
 
 namespace {
 
@@ -97,13 +96,6 @@ struct Options {
   obs::TraceRecorder* trace = nullptr;
 };
 
-bool parse_cache_mode(const std::string& text) {
-  if (text == "on") return true;
-  if (text == "off") return false;
-  throw std::invalid_argument("unknown cache mode '" + text +
-                              "' (expected on|off)");
-}
-
 util::LogLevel parse_log_level(const std::string& text) {
   if (text == "debug") return util::LogLevel::kDebug;
   if (text == "info") return util::LogLevel::kInfo;
@@ -131,7 +123,6 @@ Options parse_options(int argc, char** argv, int first) {
     else if (arg == "--relays") opt.relays = std::stoi(next());
     else if (arg == "--hours") opt.hours = std::stoi(next());
     else if (arg == "--threads") opt.threads = std::stoi(next());
-    else if (arg == "--cache") util::set_memo_enabled(parse_cache_mode(next()));
     else if (arg == "--faults") {
       opt.faults_spec = next();
       opt.faults = fault::FaultPlan::parse(opt.faults_spec);
@@ -836,13 +827,10 @@ void usage(std::FILE* out) {
   std::fprintf(
       out,
       "\noptions: --scale S --seed N --csv FILE --out FILE --ips N "
-      "--relays M --hours N --threads T --cache MODE --faults SPEC\n"
+      "--relays M --hours N --threads T --faults SPEC\n"
       "         --metrics-out FILE --trace-out FILE --log-level LEVEL\n"
       "  --threads T   fan-out workers (0 = one per hardware thread,\n"
       "                1 = serial; results are identical either way)\n"
-      "  --cache MODE  on|off (default on): memoize descriptor-id\n"
-      "                derivations and HSDir ring walks; outputs are\n"
-      "                byte-identical either way (docs/performance.md)\n"
       "  --faults SPEC inject connection/directory faults: a profile\n"
       "                (mild, moderate, severe) or k=v pairs, e.g.\n"
       "                drop=0.05,timeout=0.1,retries=4 — see\n"

@@ -14,7 +14,6 @@
 #include "serve/session.hpp"
 #include "serve_common.hpp"
 #include "util/logging.hpp"
-#include "util/memo.hpp"
 
 namespace {
 
@@ -41,7 +40,6 @@ void usage(std::FILE* out) {
       "  --services N        resident hidden services (default 16)\n"
       "  --hours N           warmup hours before serving (default 6)\n"
       "  --threads T         batch fan-out width (0 = hardware threads)\n"
-      "  --cache MODE        on|off memoization (default on)\n"
       "  --faults SPEC       world-side fault plan (docs/fault-injection.md)\n"
       "  --chaos SPEC        connection-level chaos at the socket edge\n"
       "  --batch-max N       requests executed per tick (default 256)\n"
@@ -61,13 +59,6 @@ util::LogLevel parse_log_level(const std::string& text) {
                               "' (expected debug|info|warn|error|off)");
 }
 
-bool parse_cache_mode(const std::string& text) {
-  if (text == "on") return true;
-  if (text == "off") return false;
-  throw std::invalid_argument("unknown cache mode '" + text +
-                              "' (expected on|off)");
-}
-
 DaemonOptions parse_options(int argc, char** argv) {
   DaemonOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -83,7 +74,6 @@ DaemonOptions parse_options(int argc, char** argv) {
     else if (arg == "--services") opt.params.services = std::stoi(next());
     else if (arg == "--hours") opt.params.warmup_hours = std::stoi(next());
     else if (arg == "--threads") opt.params.threads = std::stoi(next());
-    else if (arg == "--cache") util::set_memo_enabled(parse_cache_mode(next()));
     else if (arg == "--faults")
       opt.params.faults = fault::FaultPlan::parse(next());
     else if (arg == "--chaos") opt.chaos_spec = next();
