@@ -1,5 +1,6 @@
 #include "crypto/digest.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -95,44 +96,50 @@ DescriptorId combine_descriptor_id(const PermanentId& id,
   return hasher.finalize();
 }
 
-// Lane-parallel derivation core: the secret-id-part of every
-// (period, replica) pair is hashed through the batched kernel in one
-// pass, then the combine digests are forked off a shared permanent-id
-// midstate. Writes periods.size() * kNumReplicas ids, period-major /
-// replica-minor — the exact bytes (and order) of one scalar derivation
-// per (period, replica).
-void derive_ids_lanes(const PermanentId& id,
-                      std::span<const std::uint32_t> periods,
-                      std::span<const std::uint8_t> cookie,
-                      DescriptorId* out) {
-  const std::size_t replicas = static_cast<std::size_t>(kNumReplicas);
-  const std::size_t count = periods.size() * replicas;
-  const std::size_t msg_len = 4 + cookie.size() + 1;
-  std::vector<std::uint8_t> flat(count * msg_len);
-  std::vector<std::span<const std::uint8_t>> messages(count);
-  for (std::size_t p = 0; p < periods.size(); ++p) {
-    const std::uint32_t period = periods[p];
-    for (std::size_t r = 0; r < replicas; ++r) {
-      std::uint8_t* dst = flat.data() + (p * replicas + r) * msg_len;
-      dst[0] = static_cast<std::uint8_t>(period >> 24);
-      dst[1] = static_cast<std::uint8_t>(period >> 16);
-      dst[2] = static_cast<std::uint8_t>(period >> 8);
-      dst[3] = static_cast<std::uint8_t>(period);
-      std::copy(cookie.begin(), cookie.end(), dst + 4);
-      dst[4 + cookie.size()] = static_cast<std::uint8_t>(r);
-      messages[p * replicas + r] =
-          std::span<const std::uint8_t>(dst, msg_len);
-    }
+// Secret-id-parts of the `count` periods from `first_period` on,
+// period-major / replica-minor: each period's INT4(period) || cookie
+// midstate is finished once per replica byte through the lane kernel.
+void hash_secrets(std::uint32_t first_period, std::size_t count,
+                  std::span<const std::uint8_t> cookie,
+                  std::span<Sha1Digest> out) {
+  static constexpr std::array<std::uint8_t, kNumReplicas> kReplicaBytes = {
+      0, 1};
+  std::array<std::span<const std::uint8_t>, kNumReplicas> suffixes{};
+  for (std::size_t r = 0; r < suffixes.size(); ++r)
+    suffixes[r] = std::span<const std::uint8_t>(&kReplicaBytes[r], 1);
+  for (std::size_t p = 0; p < count; ++p) {
+    const auto period = static_cast<std::uint32_t>(first_period + p);
+    const std::array<std::uint8_t, 4> period_bytes = {
+        static_cast<std::uint8_t>(period >> 24),
+        static_cast<std::uint8_t>(period >> 16),
+        static_cast<std::uint8_t>(period >> 8),
+        static_cast<std::uint8_t>(period)};
+    Sha1Midstate prefix;
+    prefix.absorb(std::span<const std::uint8_t>(period_bytes));
+    prefix.absorb(cookie);
+    sha1_finish_lanes(prefix, suffixes,
+                      out.subspan(p * kNumReplicas, kNumReplicas));
   }
-  std::vector<Sha1Digest> secrets(count);
-  sha1_batch(messages, secrets);
+}
 
+// out[i] = SHA1(permanent-id || secrets[i]): the combine digests are
+// forked off one permanent-id midstate, kSha1Lanes at a time.
+void combine_lanes(const PermanentId& id,
+                   std::span<const Sha1Digest> secrets,
+                   std::span<DescriptorId> out) {
   Sha1Midstate prefix;
   prefix.absorb(std::span<const std::uint8_t>(id));
-  std::vector<std::span<const std::uint8_t>> suffixes(count);
-  for (std::size_t m = 0; m < count; ++m)
-    suffixes[m] = std::span<const std::uint8_t>(secrets[m]);
-  sha1_finish_lanes(prefix, suffixes, std::span<Sha1Digest>(out, count));
+  std::array<std::span<const std::uint8_t>, kSha1Lanes> suffixes{};
+  for (std::size_t base = 0; base < secrets.size(); base += kSha1Lanes) {
+    const std::size_t lanes = std::min(kSha1Lanes, secrets.size() - base);
+    for (std::size_t l = 0; l < lanes; ++l)
+      suffixes[l] = std::span<const std::uint8_t>(secrets[base + l]);
+    sha1_finish_lanes(
+        prefix,
+        std::span<const std::span<const std::uint8_t>>(suffixes.data(),
+                                                       lanes),
+        out.subspan(base, lanes));
+  }
 }
 
 }  // namespace
@@ -153,21 +160,28 @@ std::array<DescriptorId, kNumReplicas> descriptor_ids_for_period(
     const PermanentId& id, std::uint32_t period,
     std::span<const std::uint8_t> cookie) {
   derivation_counters().miss(kNumReplicas);
+  std::array<Sha1Digest, kNumReplicas> secrets{};
+  hash_secrets(period, 1, cookie, secrets);
   std::array<DescriptorId, kNumReplicas> out{};
-  const std::uint32_t periods[1] = {period};
-  derive_ids_lanes(id, std::span<const std::uint32_t>(periods, 1), cookie,
-                   out.data());
+  combine_lanes(id, secrets, out);
   return out;
 }
 
-std::vector<DescriptorId> descriptor_ids_for_periods(
-    const PermanentId& id, std::span<const std::uint32_t> periods,
-    std::span<const std::uint8_t> cookie) {
-  const std::size_t replicas = static_cast<std::size_t>(kNumReplicas);
-  std::vector<DescriptorId> out(periods.size() * replicas);
-  if (periods.empty()) return out;
-  derive_ids_lanes(id, periods, cookie, out.data());
-  return out;
+std::vector<Sha1Digest> secret_id_parts(std::uint32_t first_period,
+                                        std::size_t count,
+                                        std::span<const std::uint8_t> cookie) {
+  std::vector<Sha1Digest> secrets(count * kNumReplicas);
+  hash_secrets(first_period, count, cookie, secrets);
+  return secrets;
+}
+
+void descriptor_ids_for_periods(const PermanentId& id,
+                                std::span<const Sha1Digest> secrets,
+                                std::span<DescriptorId> out) {
+  if (out.size() < secrets.size())
+    throw std::invalid_argument(
+        "descriptor_ids_for_periods: output shorter than secrets");
+  combine_lanes(id, secrets, out);
 }
 
 util::CacheStats derivation_cache_stats() {

@@ -13,6 +13,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,26 +78,39 @@ DescriptorId descriptor_id(const PermanentId& id, std::uint32_t period,
 
 /// Both replicas' descriptor IDs for one (service, period), in replica
 /// order, through the multi-lane batched SHA-1 (crypto/sha1_batch.hpp):
-/// the secret-id-parts of every replica are hashed in lock-step, then
-/// the combine digests are forked off a shared permanent-id midstate —
-/// the same bytes as kNumReplicas independent descriptor_id calls (the
-/// differential suite checks this against the scalar oracle in
-/// tests/oracles.hpp at randomized schedules).
+/// the secret-id-parts of both replicas are finished off one
+/// INT4(period) || cookie midstate, then the combine digests are forked
+/// off a shared permanent-id midstate — the same bytes as kNumReplicas
+/// independent descriptor_id calls (the differential suite checks this
+/// against the scalar oracle in tests/oracles.hpp at randomized
+/// schedules).
 std::array<DescriptorId, kNumReplicas> descriptor_ids_for_period(
     const PermanentId& id, std::uint32_t period,
     std::span<const std::uint8_t> cookie = {});
 
-/// Whole-block derivation: descriptor IDs for every period in
-/// `periods`, period-major / replica-minor (result[p * kNumReplicas +
-/// r] is replica r of periods[p]) — exactly the flattening of
-/// descriptor_ids_for_period over the periods in order. All periods ×
-/// replicas go through the lane kernel in one pass, which is where the
-/// batch width (and the BM_DeriveDescriptorIds speedup) comes from.
-/// Used by the resolver's dictionary builder, which derives many
-/// consecutive days per onion. Not counted in derivation_cache_stats.
-std::vector<DescriptorId> descriptor_ids_for_periods(
-    const PermanentId& id, std::span<const std::uint32_t> periods,
+/// Secret table: the secret-id-parts of the `count` consecutive periods
+/// first_period, first_period + 1, ..., period-major / replica-minor
+/// (result[p * kNumReplicas + r] is secret_id_part(first_period + p, r,
+/// cookie)). A secret depends only on (period, replica, cookie), so one
+/// table serves every public service whose periods fall in the range.
+std::vector<Sha1Digest> secret_id_parts(
+    std::uint32_t first_period, std::size_t count,
     std::span<const std::uint8_t> cookie = {});
+
+/// Whole-block derivation from precomputed secrets: out[i] =
+/// SHA1(permanent-id || secrets[i]), the descriptor id for whichever
+/// (period, replica) secrets[i] belongs to. Pass a run of a
+/// secret_id_parts table to get descriptor_ids_for_period's bytes for
+/// consecutive periods, period-major / replica-minor. Only the combine
+/// digests are hashed here — kSha1Lanes at a time off one permanent-id
+/// midstate — so a caller deriving many services over one period range
+/// hashes each secret once per table, not once per service. Used by the
+/// resolver's dictionary builder. `out` must hold secrets.size() ids
+/// (std::invalid_argument otherwise). Not counted in
+/// derivation_cache_stats.
+void descriptor_ids_for_periods(const PermanentId& id,
+                                std::span<const Sha1Digest> secrets,
+                                std::span<DescriptorId> out);
 
 /// Ids derived by descriptor_id and descriptor_ids_for_period since the
 /// last reset, recorded as misses (hits are always 0: there is no

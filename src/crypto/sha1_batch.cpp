@@ -213,17 +213,4 @@ void sha1_finish_lanes(const Sha1Midstate& midstate,
   }
 }
 
-void sha1_batch(std::span<const std::span<const std::uint8_t>> messages,
-                std::span<Sha1Digest> out) {
-  const Sha1Midstate empty;
-  sha1_finish_lanes(empty, messages, out);
-}
-
-std::vector<Sha1Digest> sha1_batch(
-    std::span<const std::span<const std::uint8_t>> messages) {
-  std::vector<Sha1Digest> out(messages.size());
-  sha1_batch(messages, out);
-  return out;
-}
-
 }  // namespace torsim::crypto

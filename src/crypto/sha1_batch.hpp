@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "crypto/sha1.hpp"
 
@@ -70,14 +69,5 @@ class Sha1Midstate {
 void sha1_finish_lanes(const Sha1Midstate& midstate,
                        std::span<const std::span<const std::uint8_t>> suffixes,
                        std::span<Sha1Digest> out);
-
-/// Lane-parallel one-shot hashing: out[i] = SHA1(messages[i]).
-/// Equivalent to sha1_finish_lanes over an empty midstate.
-void sha1_batch(std::span<const std::span<const std::uint8_t>> messages,
-                std::span<Sha1Digest> out);
-
-/// Convenience wrapper returning the digests by value.
-std::vector<Sha1Digest> sha1_batch(
-    std::span<const std::span<const std::uint8_t>> messages);
 
 }  // namespace torsim::crypto

@@ -72,20 +72,31 @@ void DescriptorResolver::build_dictionary_from_onions(
   for (util::UnixTime t = config_.derive_from; t < config_.derive_to;
        t += util::kSecondsPerDay)
     days.push_back(t);
-  const std::size_t per_onion =
-      days.size() * static_cast<std::size_t>(crypto::kNumReplicas);
+  const std::size_t replicas = static_cast<std::size_t>(crypto::kNumReplicas);
+  const std::size_t per_onion = days.size() * replicas;
   std::vector<crypto::DescriptorId> derived(onions.size() * per_onion);
-  util::parallel_for(onions.size(), config_.threads, [&](std::size_t index) {
-    const auto pid = crypto::parse_onion_address(onions[index]);
-    std::vector<std::uint32_t> periods;
-    periods.reserve(days.size());
-    for (const util::UnixTime day : days)
-      periods.push_back(crypto::time_period(day, pid));
-    const std::vector<crypto::DescriptorId> ids =
-        crypto::descriptor_ids_for_periods(pid, periods);
-    for (std::size_t k = 0; k < per_onion; ++k)
-      derived[index * per_onion + k] = ids[k];
-  });
+  if (!days.empty()) {
+    // A public onion's secret-id-parts depend only on (period, replica),
+    // and its period steps by exactly one per day. Every onion's periods
+    // lie between the first day's period for id[0] = 0x00 and the last
+    // day's for id[0] = 0xff, so that range's secrets are hashed once;
+    // each onion reads its run of days.size() periods from the table.
+    crypto::PermanentId low{};
+    crypto::PermanentId high{};
+    high[0] = 0xff;
+    const std::uint32_t first_period = crypto::time_period(days.front(), low);
+    const std::uint32_t last_period = crypto::time_period(days.back(), high);
+    const std::vector<crypto::Sha1Digest> secrets = crypto::secret_id_parts(
+        first_period, std::size_t{last_period - first_period} + 1);
+    util::parallel_for(onions.size(), config_.threads, [&](std::size_t index) {
+      const auto pid = crypto::parse_onion_address(onions[index]);
+      const std::size_t offset =
+          (crypto::time_period(days.front(), pid) - first_period) * replicas;
+      crypto::descriptor_ids_for_periods(
+          pid, std::span(secrets).subspan(offset, per_onion),
+          std::span(derived).subspan(index * per_onion, per_onion));
+    });
+  }
 
   // Interning happens here, in the serial fold — never in the parallel
   // derivation above (the interner's contract, docs/data-layout.md).

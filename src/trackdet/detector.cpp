@@ -1,8 +1,9 @@
 #include "trackdet/detector.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
-#include <unordered_map>
+#include <stdexcept>
 
 #include "stats/binomial.hpp"
 
@@ -23,63 +24,76 @@ TrackingDetector::TrackingDetector(DetectorConfig config)
 
 TrackingReport TrackingDetector::analyze(
     const HsDirHistory& history, const crypto::PermanentId& target) const {
-  TrackingReport report;
-  report.snapshots = static_cast<std::int64_t>(history.snapshots.size());
-  if (history.snapshots.empty()) return report;
+  return analyze(history, history.snapshots, target);
+}
 
-  // `stats` and `consecutive_run` are iterated below (rule application,
-  // run resets), so they are ordered; the remaining per-server tables
-  // are lookup-only and stay hashed.
-  std::map<std::uint32_t, ServerStats> stats;
-  std::unordered_map<std::uint32_t, crypto::Fingerprint> last_fp;
-  std::unordered_map<std::uint32_t, bool> switched_this_period;
-  std::unordered_map<std::uint32_t, bool> seen_before;
-  std::map<std::uint32_t, std::int64_t> consecutive_run;
-  // Per-period responsibility membership, for clustering and the
-  // full-takeover rule.
-  struct PeriodResponsibility {
-    util::UnixTime time;
-    std::vector<std::uint32_t> servers;  // all 6 slots (duplicates kept)
-  };
-  std::vector<PeriodResponsibility> period_resp;
+TrackingReport TrackingDetector::analyze(
+    const HsDirHistory& history, std::span<const Snapshot> snapshots,
+    const crypto::PermanentId& target) const {
+  TrackingReport report;
+  report.snapshots = static_cast<std::int64_t>(snapshots.size());
+  if (snapshots.empty()) return report;
+
+  // Per-server columns indexed by server id (ids are dense:
+  // history.servers[id].id == id).
+  const std::size_t server_count = history.servers.size();
+  constexpr std::uint32_t kNever = std::numeric_limits<std::uint32_t>::max();
+  std::vector<ServerStats> stats(server_count);
+  for (std::size_t id = 0; id < server_count; ++id)
+    stats[id].server = static_cast<std::uint32_t>(id);
+  std::vector<crypto::Fingerprint> last_fp(server_count);
+  // Index (into `snapshots`) of the snapshot first listing the server.
+  std::vector<std::uint32_t> first_listed(server_count, kNever);
+  std::vector<char> switched_this_period(server_count, 0);
+  std::vector<std::int64_t> consecutive_run(server_count, 0);
+  // Per-period responsibility membership (all 6 slots, duplicates kept),
+  // for clustering and the full-takeover rule: period k's servers are
+  // resp_servers[resp_begin[k], resp_begin[k + 1]).
+  std::vector<std::uint32_t> resp_servers;
+  std::vector<std::size_t> resp_begin = {0};
+  resp_servers.reserve(snapshots.size() * 2 * crypto::kHsDirsPerReplica);
+  resp_begin.reserve(snapshots.size() + 1);
+  std::vector<std::uint32_t> responsible_now;
+  std::vector<std::uint32_t> responsible_before;
 
   double hsdir_sum = 0.0;
-  bool first_snapshot = true;
-  for (const Snapshot& snap : history.snapshots) {
+  for (std::uint32_t k = 0; k < snapshots.size(); ++k) {
+    const Snapshot& snap = snapshots[k];
     hsdir_sum += static_cast<double>(snap.size());
     const std::uint32_t period = crypto::time_period(snap.time(), target);
 
-    // Track per-server appearance / fingerprint changes.
+    // Track per-server appearance / fingerprint changes. A server can
+    // be listed twice in one snapshot; its later entry compares against
+    // the earlier one.
     for (const SnapshotEntry& e : snap.entries()) {
+      if (e.server >= server_count)
+        throw std::out_of_range("TrackingDetector: unknown server id");
       ServerStats& s = stats[e.server];
-      s.server = e.server;
       ++s.periods_observed;
-      auto it = last_fp.find(e.server);
-      const bool switched =
-          it != last_fp.end() && !(it->second == e.fingerprint);
+      const bool switched = first_listed[e.server] != kNever &&
+                            !(last_fp[e.server] == e.fingerprint);
       if (switched) ++s.fingerprint_switches;
       switched_this_period[e.server] = switched;
       last_fp[e.server] = e.fingerprint;
+      if (first_listed[e.server] == kNever) first_listed[e.server] = k;
     }
 
     // Responsible HSDirs for both replicas this period.
-    PeriodResponsibility pr;
-    pr.time = snap.time();
-    std::vector<std::uint32_t> responsible_now;
+    responsible_now.clear();
     const auto desc_ids = crypto::descriptor_ids_for_period(target, period);
     for (std::uint8_t replica = 0; replica < crypto::kNumReplicas;
          ++replica) {
       const auto& desc_id = desc_ids[replica];
       for (const SnapshotEntry* e : snap.responsible(desc_id)) {
-        pr.servers.push_back(e->server);
+        resp_servers.push_back(e->server);
         responsible_now.push_back(e->server);
         ServerStats& s = stats[e->server];
         ++s.periods_responsible;
         if (switched_this_period[e->server])
           ++s.switches_before_responsible;
         // "Responsible right when it first appeared" — meaningless on the
-        // archive's opening snapshot, where *everything* is new.
-        if (!first_snapshot && !seen_before[e->server])
+        // window's opening snapshot, where *everything* is new.
+        if (k > 0 && first_listed[e->server] == k)
           s.responsible_on_first_appearance = true;
         const double distance =
             crypto::ring_distance(desc_id, e->fingerprint);
@@ -89,35 +103,37 @@ TrackingReport TrackingDetector::analyze(
         }
       }
     }
-    period_resp.push_back(std::move(pr));
+    resp_begin.push_back(resp_servers.size());
 
-    // Consecutive-period runs.
+    // Consecutive-period runs: a run is live only for servers that were
+    // responsible last period, so only those can end here.
     std::sort(responsible_now.begin(), responsible_now.end());
     responsible_now.erase(
         std::unique(responsible_now.begin(), responsible_now.end()),
         responsible_now.end());
-    for (auto& [server, run] : consecutive_run)
+    for (std::uint32_t server : responsible_before)
       if (!std::binary_search(responsible_now.begin(), responsible_now.end(),
                               server))
-        run = 0;
+        consecutive_run[server] = 0;
     for (std::uint32_t server : responsible_now) {
-      std::int64_t& run = consecutive_run[server];
-      ++run;
+      const std::int64_t run = ++consecutive_run[server];
       ServerStats& s = stats[server];
       s.max_consecutive_periods = std::max(s.max_consecutive_periods, run);
     }
-
-    for (const SnapshotEntry& e : snap.entries()) seen_before[e.server] = true;
-    first_snapshot = false;
+    std::swap(responsible_before, responsible_now);
   }
 
   report.mean_hsdirs = hsdir_sum / static_cast<double>(report.snapshots);
-  const double p = 6.0 / report.mean_hsdirs;
+  // p = 6 / N is a relay's chance of holding one of the six responsible
+  // slots; on a ring of six or fewer HSDirs (or none) it is 1.
+  const double p = report.mean_hsdirs > 0.0
+                       ? std::min(1.0, 6.0 / report.mean_hsdirs)
+                       : 1.0;
   report.suspicion_threshold =
       stats::binomial_three_sigma_threshold(report.snapshots, p);
 
-  // Apply the rules.
-  for (auto& [server, s] : stats) {
+  // Apply the rules, in ascending server id.
+  for (const ServerStats& s : stats) {
     if (s.periods_responsible == 0) continue;
     SuspicionFlags flags;
     flags.over_three_sigma = static_cast<double>(s.periods_responsible) >
@@ -132,8 +148,8 @@ TrackingReport TrackingDetector::analyze(
     SuspiciousServer out;
     out.stats = s;
     out.flags = flags;
-    out.name = history.server(server).name;
-    out.truth_campaign = history.server(server).truth_campaign;
+    out.name = history.server(s.server).name;
+    out.truth_campaign = history.server(s.server).truth_campaign;
     report.suspicious.push_back(std::move(out));
   }
   std::sort(report.suspicious.begin(), report.suspicious.end(),
@@ -148,38 +164,43 @@ TrackingReport TrackingDetector::analyze(
 
   // Cluster suspicious servers by shared name stems.
   std::map<std::string, CampaignCluster> clusters;
-  std::unordered_map<std::uint32_t, const SuspiciousServer*> suspicious_by_id;
-  for (const SuspiciousServer& s : report.suspicious)
-    suspicious_by_id[s.stats.server] = &s;
+  std::vector<CampaignCluster*> cluster_of(server_count, nullptr);
   for (const SuspiciousServer& s : report.suspicious) {
     const std::string stem = name_stem(s.name);
     CampaignCluster& cluster = clusters[stem];
     cluster.shared_prefix = stem;
     cluster.servers.push_back(s.stats.server);
     cluster.max_ratio = std::max(cluster.max_ratio, s.stats.max_ratio);
+    cluster_of[s.stats.server] = &cluster;
   }
   // Fill cluster time spans / coverage from the responsibility log.
-  for (const auto& pr : period_resp) {
-    std::map<std::string, int> cluster_slots;
-    for (std::uint32_t server : pr.servers) {
-      const auto it = suspicious_by_id.find(server);
-      if (it == suspicious_by_id.end()) continue;
-      ++cluster_slots[name_stem(it->second->name)];
+  // cluster_slots: suspicious slots per cluster in one period (<= 6).
+  std::vector<std::pair<CampaignCluster*, int>> cluster_slots;
+  for (std::size_t k = 0; k < snapshots.size(); ++k) {
+    const std::span<const std::uint32_t> servers(
+        resp_servers.data() + resp_begin[k], resp_begin[k + 1] - resp_begin[k]);
+    cluster_slots.clear();
+    std::size_t suspicious_slots = 0;
+    for (std::uint32_t server : servers) {
+      CampaignCluster* cluster = cluster_of[server];
+      if (cluster == nullptr) continue;
+      ++suspicious_slots;
+      const auto it = std::find_if(
+          cluster_slots.begin(), cluster_slots.end(),
+          [&](const auto& slot) { return slot.first == cluster; });
+      if (it == cluster_slots.end())
+        cluster_slots.emplace_back(cluster, 1);
+      else
+        ++it->second;
     }
-    bool all_six_suspicious =
-        pr.servers.size() >= 6;
-    int suspicious_slots = 0;
-    for (std::uint32_t server : pr.servers)
-      if (suspicious_by_id.count(server)) ++suspicious_slots;
-    if (all_six_suspicious &&
-        suspicious_slots == static_cast<int>(pr.servers.size()))
+    if (servers.size() >= 6 && suspicious_slots == servers.size())
       ++report.full_takeover_periods;
-    for (auto& [stem, slots] : cluster_slots) {
-      CampaignCluster& cluster = clusters[stem];
-      if (cluster.first_seen == 0) cluster.first_seen = pr.time;
-      cluster.last_seen = pr.time;
-      ++cluster.periods_covered;
-      if (slots >= 6) cluster.full_takeover = true;
+    const util::UnixTime time = snapshots[k].time();
+    for (auto& [cluster, slots] : cluster_slots) {
+      if (cluster->first_seen == 0) cluster->first_seen = time;
+      cluster->last_seen = time;
+      ++cluster->periods_covered;
+      if (slots >= 6) cluster->full_takeover = true;
     }
   }
   // Clusters are the paper's evidence unit for *coordinated* campaigns:

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,15 @@ class TrackingDetector {
   explicit TrackingDetector(DetectorConfig config = {});
 
   TrackingReport analyze(const HsDirHistory& history,
+                         const crypto::PermanentId& target) const;
+
+  /// Analyzes a window of `history`: `snapshots` is a contiguous run of
+  /// `history.snapshots` (a calendar year, say), read in place. The
+  /// report is the one a history holding only those snapshots (and the
+  /// same server table) would give. Every entry's server id must index
+  /// `history.servers` (std::out_of_range otherwise).
+  TrackingReport analyze(const HsDirHistory& history,
+                         std::span<const Snapshot> snapshots,
                          const crypto::PermanentId& target) const;
 
  private:

@@ -6,12 +6,25 @@
 
 namespace torsim::trackdet {
 
+namespace {
+
+bool by_fingerprint(const SnapshotEntry& a, const SnapshotEntry& b) {
+  return a.fingerprint < b.fingerprint;
+}
+
+}  // namespace
+
+bool fingerprints_strictly_ascending(std::span<const SnapshotEntry> entries) {
+  return std::adjacent_find(entries.begin(), entries.end(),
+                            [](const SnapshotEntry& a, const SnapshotEntry& b) {
+                              return !by_fingerprint(a, b);
+                            }) == entries.end();
+}
+
 Snapshot::Snapshot(util::UnixTime time, std::vector<SnapshotEntry> entries)
     : time_(time), entries_(std::move(entries)) {
-  std::sort(entries_.begin(), entries_.end(),
-            [](const SnapshotEntry& a, const SnapshotEntry& b) {
-              return a.fingerprint < b.fingerprint;
-            });
+  if (!fingerprints_strictly_ascending(entries_))
+    std::sort(entries_.begin(), entries_.end(), by_fingerprint);
 }
 
 std::vector<const SnapshotEntry*> Snapshot::responsible(

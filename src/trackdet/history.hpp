@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,9 +34,15 @@ struct SnapshotEntry {
   std::uint32_t server = 0;
 };
 
+/// True when each entry's fingerprint is greater than the one before
+/// it (no ties): such a list has exactly one sorted order.
+bool fingerprints_strictly_ascending(std::span<const SnapshotEntry> entries);
+
 /// The HSDir ring on one day.
 class Snapshot {
  public:
+  /// Sorts `entries` by fingerprint, unless they are strictly ascending
+  /// already.
   Snapshot(util::UnixTime time, std::vector<SnapshotEntry> entries);
 
   util::UnixTime time() const { return time_; }

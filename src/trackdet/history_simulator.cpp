@@ -35,6 +35,10 @@ struct HonestServer {
   crypto::Fingerprint fingerprint;
 };
 
+bool by_fingerprint(const SnapshotEntry& a, const SnapshotEntry& b) {
+  return a.fingerprint < b.fingerprint;
+}
+
 }  // namespace
 
 HistorySimulator::HistorySimulator(HistoryConfig config) : config_(config) {
@@ -60,8 +64,11 @@ HsDirHistory HistorySimulator::simulate(
     return info.id;
   };
 
-  // Honest fleet.
+  // Honest fleet, in creation order (the RNG draws walk it in that
+  // order), and the same servers' ring entries sorted by fingerprint,
+  // patched day by day as servers die, join and switch keys.
   std::vector<HonestServer> honest;
+  std::vector<SnapshotEntry> ring;
   const auto spawn_honest = [&] {
     // Honest operators pick diverse nicknames; a shared stem would fake
     // the name-cluster signal the detector groups campaigns by.
@@ -74,6 +81,13 @@ HsDirHistory HistorySimulator::simulate(
     honest.push_back({id, random_fingerprint(rng)});
   };
   for (int i = 0; i < config_.hsdirs_at_start; ++i) spawn_honest();
+  for (const HonestServer& server : honest)
+    ring.push_back({server.fingerprint, server.id});
+  std::sort(ring.begin(), ring.end(), by_fingerprint);
+  std::vector<char> leaving;         // by server id: leaves `ring` today
+  std::vector<SnapshotEntry> added;  // entries joining it today
+  std::vector<SnapshotEntry> merged;  // reused merge buffer
+  std::vector<SnapshotEntry> campaign_entries;
 
   // Campaign server tables (allocated lazily on first active day, so the
   // "appeared and was immediately responsible" signal is present).
@@ -91,12 +105,19 @@ HsDirHistory HistorySimulator::simulate(
 
     // Honest churn: deaths, growth to the interpolated target, key
     // switches.
+    added.clear();
+    leaving.resize(history.servers.size());
+    bool any_leaving = false;
     honest.erase(std::remove_if(honest.begin(), honest.end(),
-                                [&](const HonestServer&) {
-                                  return rng.bernoulli(
+                                [&](const HonestServer& server) {
+                                  const bool dies = rng.bernoulli(
                                       config_.daily_death_rate);
+                                  if (dies) leaving[server.id] = 1;
+                                  any_leaving = any_leaving || dies;
+                                  return dies;
                                 }),
                  honest.end());
+    const std::size_t survivors = honest.size();
     const double progress =
         total_days > 1 ? static_cast<double>(day) /
                              static_cast<double>(total_days - 1)
@@ -106,16 +127,34 @@ HsDirHistory HistorySimulator::simulate(
                     progress * (config_.hsdirs_at_end -
                                 config_.hsdirs_at_start)));
     while (static_cast<int>(honest.size()) < target_count) spawn_honest();
-    for (HonestServer& server : honest)
-      if (rng.bernoulli(config_.honest_switch_rate))
-        server.fingerprint = random_fingerprint(rng);
-
-    std::vector<SnapshotEntry> entries;
-    entries.reserve(honest.size() + 8);
-    for (const HonestServer& server : honest)
-      entries.push_back({server.fingerprint, server.id});
+    for (std::size_t i = 0; i < honest.size(); ++i) {
+      if (!rng.bernoulli(config_.honest_switch_rate)) continue;
+      honest[i].fingerprint = random_fingerprint(rng);
+      if (i < survivors) {
+        leaving[honest[i].id] = 1;
+        any_leaving = true;
+        added.push_back({honest[i].fingerprint, honest[i].id});
+      }
+    }
+    for (std::size_t i = survivors; i < honest.size(); ++i)
+      added.push_back({honest[i].fingerprint, honest[i].id});
+    if (any_leaving) {
+      std::erase_if(ring, [&](const SnapshotEntry& e) {
+        if (!leaving[e.server]) return false;
+        leaving[e.server] = 0;
+        return true;
+      });
+    }
+    if (!added.empty()) {
+      std::sort(added.begin(), added.end(), by_fingerprint);
+      merged.resize(ring.size() + added.size());
+      std::merge(ring.begin(), ring.end(), added.begin(), added.end(),
+                 merged.begin(), by_fingerprint);
+      ring.swap(merged);
+    }
 
     // Campaigns.
+    campaign_entries.clear();
     const std::uint32_t period = crypto::time_period(t, target);
     for (std::size_t ci = 0; ci < campaigns.size(); ++ci) {
       const CampaignSpec& spec = campaigns[ci];
@@ -130,7 +169,7 @@ HsDirHistory HistorySimulator::simulate(
         while (idle.size() < servers.size())
           idle.push_back(random_fingerprint(rng));
         for (std::size_t si = 0; si < servers.size(); ++si)
-          entries.push_back({idle[si], servers[si]});
+          campaign_entries.push_back({idle[si], servers[si]});
         continue;
       }
       if (servers.empty()) {
@@ -167,10 +206,26 @@ HsDirHistory HistorySimulator::simulate(
                 desc_id, spec.ring_fraction, rank, rng));
           fp = fixed[static_cast<std::size_t>(slot)];
         }
-        entries.push_back({fp, server});
+        campaign_entries.push_back({fp, server});
       }
     }
 
+    // The day's ring: the honest ring with the (few) campaign entries
+    // merged in. Snapshot sorts only input that is not strictly
+    // ascending; on a fingerprint tie it gets the creation-order list,
+    // so equal keys land exactly where sorting that list puts them.
+    std::vector<SnapshotEntry> day_campaign = campaign_entries;
+    std::sort(day_campaign.begin(), day_campaign.end(), by_fingerprint);
+    std::vector<SnapshotEntry> entries(ring.size() + day_campaign.size());
+    std::merge(ring.begin(), ring.end(), day_campaign.begin(),
+               day_campaign.end(), entries.begin(), by_fingerprint);
+    if (!fingerprints_strictly_ascending(entries)) {
+      entries.clear();
+      for (const HonestServer& server : honest)
+        entries.push_back({server.fingerprint, server.id});
+      entries.insert(entries.end(), campaign_entries.begin(),
+                     campaign_entries.end());
+    }
     history.snapshots.emplace_back(t, std::move(entries));
   }
   return history;

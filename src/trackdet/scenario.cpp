@@ -1,5 +1,8 @@
 #include "trackdet/scenario.hpp"
 
+#include <algorithm>
+#include <span>
+
 namespace torsim::trackdet {
 
 crypto::PermanentId silkroad_target() {
@@ -78,16 +81,20 @@ SilkroadStudy run_silkroad_study(std::uint64_t seed) {
   study.report = detector.analyze(study.history, silkroad_target());
 
   // Year-by-year passes (the HSDir population more than doubled over the
-  // window, so the paper split the binomial analysis per year).
+  // window, so the paper split the binomial analysis per year). Snapshots
+  // ascend in time, so each year is a contiguous run of them.
+  const std::span<const Snapshot> snapshots(study.history.snapshots);
+  const auto first_at_or_after = [&](util::UnixTime t) {
+    return std::partition_point(
+        snapshots.begin(), snapshots.end(),
+        [t](const Snapshot& snap) { return snap.time() < t; });
+  };
   for (int year = 2011; year <= 2013; ++year) {
-    HsDirHistory slice;
-    slice.servers = study.history.servers;
-    const util::UnixTime from = util::make_utc(year, 1, 1);
-    const util::UnixTime to = util::make_utc(year + 1, 1, 1);
-    for (const Snapshot& snap : study.history.snapshots)
-      if (snap.time() >= from && snap.time() < to)
-        slice.snapshots.push_back(snap);
-    study.yearly.push_back(detector.analyze(slice, silkroad_target()));
+    const auto from = first_at_or_after(util::make_utc(year, 1, 1));
+    const auto to = first_at_or_after(util::make_utc(year + 1, 1, 1));
+    study.yearly.push_back(detector.analyze(
+        study.history, std::span<const Snapshot>(from, to),
+        silkroad_target()));
   }
   return study;
 }

@@ -23,12 +23,13 @@ namespace {
 
 using population::Population;
 
-/// Reference dictionary and join: ordered maps throughout.
+/// Reference dictionary and join: ordered maps throughout, every
+/// secret-id-part hashed again for every onion and day.
 class OracleResolver {
  public:
-  explicit OracleResolver(const std::vector<std::string>& onions) {
-    const util::UnixTime from = util::make_utc(2013, 1, 28);
-    const util::UnixTime to = util::make_utc(2013, 2, 9);
+  explicit OracleResolver(const std::vector<std::string>& onions,
+                          util::UnixTime from = util::make_utc(2013, 1, 28),
+                          util::UnixTime to = util::make_utc(2013, 2, 9)) {
     for (const std::string& onion : onions) {
       const auto pid = crypto::parse_onion_address(onion);
       for (util::UnixTime t = from; t < to; t += util::kSecondsPerDay)
@@ -206,6 +207,61 @@ TEST_P(ResolverDiffTest, EmptyStreamAndEmptyDictionary) {
                      empty_oracle.resolve(test_stream(), nullptr));
   expect_same_report(empty_resolver.resolve(empty_stream),
                      empty_oracle.resolve(empty_stream, nullptr));
+}
+
+/// Population onions plus onions whose permanent ids start with 0x00
+/// and 0xff: the two ends of the secret table's period range.
+std::vector<std::string> onions_at_table_ends() {
+  std::vector<std::string> onions = population_onions();
+  onions.resize(60);
+  util::Rng rng(80);
+  for (const std::uint8_t first : {std::uint8_t{0x00}, std::uint8_t{0xff}}) {
+    for (int i = 0; i < 8; ++i) {
+      crypto::PermanentId pid{};
+      rng.fill_bytes(pid.data(), pid.size());
+      pid[0] = first;
+      onions.push_back(crypto::onion_address(pid));
+    }
+  }
+  return onions;
+}
+
+TEST_P(ResolverDiffTest, TableEndOnionsInDefaultWindow) {
+  const std::vector<std::string> onions = onions_at_table_ends();
+  const OracleResolver oracle(onions);
+  DescriptorResolver resolver({.threads = GetParam()});
+  resolver.build_dictionary_from_onions(onions);
+  expect_same_dictionary(resolver, oracle);
+  expect_same_report(resolver.resolve(test_stream()),
+                     oracle.resolve(test_stream(), nullptr));
+}
+
+TEST_P(ResolverDiffTest, NonDefaultWindowsMatchMapOracle) {
+  // Windows starting off midnight shift the 0xff onions into the next
+  // period, so the table spans one more period than there are days.
+  const std::vector<std::string> onions = onions_at_table_ends();
+  const util::UnixTime march = util::make_utc(2013, 3, 2);
+  struct Window {
+    util::UnixTime from;
+    util::UnixTime to;
+  };
+  for (const Window window : {
+           Window{march + 12345, march + 5 * util::kSecondsPerDay + 777},
+           Window{march, march + 3 * util::kSecondsPerDay},
+           Window{march + 86000, march + 86001},  // one day
+           Window{march + 40000, march + 40000},  // no day at all
+       }) {
+    SCOPED_TRACE("window " + std::to_string(window.from) + ".." +
+                 std::to_string(window.to));
+    const OracleResolver oracle(onions, window.from, window.to);
+    DescriptorResolver resolver({.derive_from = window.from,
+                                 .derive_to = window.to,
+                                 .threads = GetParam()});
+    resolver.build_dictionary_from_onions(onions);
+    expect_same_dictionary(resolver, oracle);
+    expect_same_report(resolver.resolve(test_stream()),
+                       oracle.resolve(test_stream(), nullptr));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ResolverDiffTest, ::testing::Values(1, 4));

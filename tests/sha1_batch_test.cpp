@@ -43,6 +43,15 @@ std::vector<std::span<const std::uint8_t>> as_spans(
   return spans;
 }
 
+/// One-shot lane hashing: SHA1(messages[i]) for every message, finished
+/// off an empty midstate.
+std::vector<Sha1Digest> sha1_batch(
+    std::span<const std::span<const std::uint8_t>> messages) {
+  std::vector<Sha1Digest> out(messages.size());
+  sha1_finish_lanes(Sha1Midstate{}, messages, out);
+  return out;
+}
+
 // The padding-sensitive lengths: 0 (empty), 55/56 (last byte that fits
 // the length in block one / first that overflows into block two), 63/64/
 // 65 (block boundary), 119/120 (the same boundary one block later).
@@ -53,10 +62,9 @@ TEST(Sha1BatchTest, BlockBoundaryLengthsMatchScalar) {
   for (const std::size_t len : kBoundaryLengths) {
     const Bytes message = random_bytes(rng, len);
     const std::span<const std::uint8_t> span(message);
-    std::vector<std::span<const std::uint8_t>> messages = {span};
-    Sha1Digest out{};
-    sha1_batch(messages, std::span<Sha1Digest>(&out, 1));
-    EXPECT_EQ(out, scalar_sha1(message, {})) << "length " << len;
+    const std::vector<std::span<const std::uint8_t>> messages = {span};
+    EXPECT_EQ(sha1_batch(messages).at(0), scalar_sha1(message, {}))
+        << "length " << len;
   }
 }
 
@@ -203,9 +211,11 @@ TEST(Sha1BatchTest, DeriveIdsLaneWiringMatchesScalarOracle) {
 
     for (const Bytes& c : {Bytes{}, cookie}) {
       const std::span<const std::uint8_t> cspan(c);
-      const std::vector<DescriptorId> batched =
-          descriptor_ids_for_periods(pid, periods, cspan);
-      ASSERT_EQ(batched.size(), periods.size() * kNumReplicas);
+      const std::vector<Sha1Digest> secrets =
+          secret_id_parts(base, periods.size(), cspan);
+      ASSERT_EQ(secrets.size(), periods.size() * kNumReplicas);
+      std::vector<DescriptorId> batched(secrets.size());
+      descriptor_ids_for_periods(pid, secrets, batched);
       for (std::size_t p = 0; p < periods.size(); ++p) {
         const auto single =
             descriptor_ids_for_period(pid, periods[p], cspan);
@@ -213,6 +223,9 @@ TEST(Sha1BatchTest, DeriveIdsLaneWiringMatchesScalarOracle) {
             oracle::descriptor_ids_for_period_scalar(pid, periods[p], cspan);
         for (std::size_t r = 0; r < static_cast<std::size_t>(kNumReplicas);
              ++r) {
+          EXPECT_EQ(secrets[p * kNumReplicas + r],
+                    secret_id_part(periods[p], static_cast<std::uint8_t>(r),
+                                   cspan));
           EXPECT_EQ(batched[p * kNumReplicas + r], want[r]);
           EXPECT_EQ(single[r], want[r]);
         }

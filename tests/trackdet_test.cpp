@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "sim/world.hpp"
 #include "trackdet/detector.hpp"
@@ -318,6 +319,51 @@ TEST(TrackingDetectorTest, EmptyHistory) {
   const auto report = detector.analyze(HsDirHistory{}, test_target());
   EXPECT_EQ(report.snapshots, 0);
   EXPECT_TRUE(report.suspicious.empty());
+}
+
+TEST(TrackingDetectorTest, RingOfAtMostSixHsDirsClampsTheBinomialP) {
+  // p = 6 / N would exceed 1 here; it is clamped to 1, so the binomial
+  // threshold (mu + 3 sigma) is the snapshot count.
+  HistoryConfig config;
+  config.seed = 23;
+  config.start = util::make_utc(2012, 3, 1);
+  config.end = util::make_utc(2012, 4, 1);
+  config.hsdirs_at_start = 4;
+  config.hsdirs_at_end = 4;
+  const auto history = HistorySimulator(config).simulate(test_target(), {});
+  const auto report = TrackingDetector().analyze(history, test_target());
+  EXPECT_EQ(report.snapshots,
+            static_cast<std::int64_t>(history.snapshots.size()));
+  EXPECT_DOUBLE_EQ(report.mean_hsdirs, 4.0);
+  EXPECT_DOUBLE_EQ(report.suspicion_threshold,
+                   static_cast<double>(report.snapshots));
+}
+
+TEST(TrackingDetectorTest, UnknownServerIdThrows) {
+  HsDirHistory history;
+  history.servers.emplace_back();
+  std::vector<SnapshotEntry> entries(2);
+  entries[0].fingerprint.fill(0x10);
+  entries[1].fingerprint.fill(0x20);
+  entries[1].server = 1;  // no such server
+  history.snapshots.emplace_back(util::make_utc(2012, 3, 1), entries);
+  EXPECT_THROW(TrackingDetector().analyze(history, test_target()),
+               std::out_of_range);
+}
+
+TEST(TrackingDetectorTest, AllEmptySnapshots) {
+  HsDirHistory history;
+  for (int day = 0; day < 5; ++day)
+    history.snapshots.emplace_back(
+        util::make_utc(2012, 3, 1) + day * util::kSecondsPerDay,
+        std::vector<SnapshotEntry>{});
+  const auto report = TrackingDetector().analyze(history, test_target());
+  EXPECT_EQ(report.snapshots, 5);
+  EXPECT_EQ(report.mean_hsdirs, 0.0);
+  EXPECT_EQ(report.suspicion_threshold, 5.0);
+  EXPECT_TRUE(report.suspicious.empty());
+  EXPECT_TRUE(report.clusters.empty());
+  EXPECT_EQ(report.full_takeover_periods, 0);
 }
 
 // ---------------------------------------------------------------------
