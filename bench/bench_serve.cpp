@@ -1,6 +1,6 @@
 // Serving-path bench (docs/serving.md): google-benchmarks over the
 // deterministic batcher core, the wire protocol, and the full daemon
-// round trip, plus a closed-loop load pass against a real torsimd
+// round trip, plus a closed-loop load pass against a real `torsim serve`
 // event loop that records sustained requests/s and the latency
 // histogram into the "serve" section of BENCH_serve.json
 // (schema-checked by tools/check_bench_json.py).

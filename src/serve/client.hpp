@@ -1,4 +1,4 @@
-// Blocking protocol client for torsimd's unix socket: the building
+// Blocking protocol client for the `torsim serve` unix socket: the building
 // block of the load generator and of test harnesses. One Client is one
 // connection; it is not thread-safe (each load-generator worker owns
 // its own).

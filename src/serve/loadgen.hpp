@@ -1,4 +1,4 @@
-// Closed/open-loop load generator against a running torsimd: N worker
+// Closed/open-loop load generator against a running `torsim serve`: N worker
 // threads, each owning one connection, replaying a deterministic
 // request mix. Latency histograms flow through obs::MetricsRegistry as
 // *telemetry* (wall-clock dependent, never golden); the matched

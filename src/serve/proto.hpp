@@ -1,5 +1,5 @@
 // torsim-serve-v1: the wire protocol between the warm-world daemon
-// (torsimd) and its clients (torsim load / torsim query scripts).
+// (`torsim serve`) and its clients (torsim load / torsim query scripts).
 //
 // A message is a length-prefixed frame (4-byte big-endian length, then
 // that many bytes of text) whose body is a small line-oriented document

@@ -17,8 +17,13 @@ std::string csv_escape(const std::string& field) {
   return out;
 }
 
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
+CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
   if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
+}
+
+void CsvWriter::close() {
+  out_.close();
+  if (!out_) throw std::runtime_error("CsvWriter: cannot write " + path_);
 }
 
 void CsvWriter::row(const std::vector<std::string>& fields) {

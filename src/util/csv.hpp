@@ -32,6 +32,10 @@ class CsvWriter {
 
   std::size_t rows_written() const { return rows_; }
 
+  /// Flushes and closes the file; throws std::runtime_error if any
+  /// write failed (a full disk, say). Call it before reporting success.
+  void close();
+
  private:
   static std::string to_field(const std::string& s) { return s; }
   static std::string to_field(std::string_view s) { return std::string(s); }
@@ -43,6 +47,7 @@ class CsvWriter {
     return os.str();
   }
 
+  std::string path_;
   std::ofstream out_;
   std::size_t rows_ = 0;
 };

@@ -16,6 +16,9 @@
 //   * simulate_sorting_daily — the HSDir history simulator that rebuilds
 //     each day's ring in creation order and sorts it (vs the fingerprint-
 //     sorted ring HistorySimulator patches day by day).
+//   * paper_chain — the paper's scan → crawl → classify → resolve →
+//     botnet chain with torbench/harness/pipeline.cpp's literal configs
+//     and seeds (vs src/pipeline, which derives them from one Config).
 #pragma once
 
 #include <algorithm>
@@ -28,9 +31,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "content/pipeline.hpp"
 #include "crypto/digest.hpp"
 #include "crypto/sha1.hpp"
 #include "dirauth/consensus.hpp"
+#include "popularity/botnet_inference.hpp"
+#include "popularity/request_generator.hpp"
+#include "popularity/resolver.hpp"
+#include "population/population.hpp"
+#include "scan/cert_analysis.hpp"
+#include "scan/crawler.hpp"
+#include "scan/port_scanner.hpp"
 #include "stats/binomial.hpp"
 #include "trackdet/detector.hpp"
 #include "trackdet/history_simulator.hpp"
@@ -418,6 +429,50 @@ inline trackdet::HsDirHistory simulate_sorting_daily(
     history.snapshots.emplace_back(t, std::move(entries));
   }
   return history;
+}
+
+/// Every stage output of one paper_chain run.
+struct PaperChain {
+  scan::ScanReport scan;
+  scan::CertReport cert;
+  scan::CrawlReport crawl;
+  content::PipelineResult content;
+  popularity::ResolutionReport ranking;
+  popularity::BotnetInferenceReport botnet;
+};
+
+inline population::Population paper_population(std::uint64_t seed,
+                                               double scale) {
+  population::PopulationConfig config;
+  config.seed = seed;
+  config.scale = scale;
+  return population::Population::generate(config);
+}
+
+/// One pass of torbench's paper-pipeline workload over `pop`, which
+/// paper_population(seed, ...) generated.
+inline PaperChain paper_chain(const population::Population& pop,
+                              std::uint64_t seed, int threads) {
+  PaperChain out;
+  out.scan = scan::PortScanner(scan::ScanConfig{.seed = seed + 1,
+                                                .threads = threads})
+                 .scan(pop);
+  out.cert = scan::analyse_certificates(pop, out.scan);
+  out.crawl = scan::Crawler(scan::CrawlConfig{.seed = seed + 4})
+                  .crawl(pop, out.scan);
+  util::Rng rng(seed + 2);
+  const auto classifier = content::TopicClassifier::make_default(rng);
+  out.content = content::ContentPipeline(classifier,
+                                         content::LanguageDetector::instance(),
+                                         {.threads = threads})
+                    .run(out.crawl.pages);
+  const auto stream =
+      popularity::RequestGenerator({.seed = seed + 3}).generate(pop);
+  popularity::DescriptorResolver resolver({.threads = threads});
+  resolver.build_dictionary(pop);
+  out.ranking = resolver.resolve(stream, pop);
+  out.botnet = popularity::infer_botnet_infrastructure(out.ranking, pop);
+  return out;
 }
 
 }  // namespace torsim::oracle

@@ -1,0 +1,205 @@
+// src/pipeline against oracle::paper_chain, the chain as torbench wires
+// it: every stage's output is rendered in full and must be
+// byte-identical to the oracle's for several seeds, at threads 1 and 4.
+// Under an enabled fault plan the crawl must re-visit destinations up
+// to the plan's retry budget.
+#include <gtest/gtest.h>
+
+#include <iomanip>
+#include <sstream>
+#include <string>
+
+#include "oracles.hpp"
+#include "pipeline/pipeline.hpp"
+
+namespace torsim {
+namespace {
+
+constexpr double kScale = 0.02;
+
+std::ostringstream render_stream() {
+  std::ostringstream os;
+  os << std::setprecision(17);
+  return os;
+}
+
+template <typename Key>
+void render_histogram(std::ostringstream& os, const char* name,
+                      const stats::Histogram<Key>& histogram) {
+  for (const auto& [key, count] : histogram.entries())
+    os << name << ' ' << key << ' ' << count << '\n';
+}
+
+std::string render(const population::Population& pop) {
+  auto os = render_stream();
+  for (std::size_t i = 0; i < pop.size(); ++i)
+    os << pop.onion(static_cast<population::ServiceId>(i)) << '\n';
+  return os.str();
+}
+
+std::string render(const scan::ScanReport& report) {
+  auto os = render_stream();
+  os << report.descriptors_available << ' ' << report.onions_scanned << ' '
+     << report.onions_with_open_ports << ' ' << report.coverage << ' '
+     << report.probe_timeouts << ' ' << report.probes_closed << ' '
+     << report.probes_corrupt << ' ' << report.probes_recovered << ' '
+     << report.failures.size() << '\n';
+  render_histogram(os, "open", report.open_ports);
+  render_histogram(os, "timeout", report.timeout_ports);
+  render_histogram(os, "closed", report.closed_ports);
+  for (const auto& o : report.observations)
+    os << o.onion << ' ' << o.port << ' ' << static_cast<int>(o.result)
+       << ' ' << o.scan_day << ' ' << static_cast<int>(o.protocol) << '\n';
+  return os.str();
+}
+
+std::string render(const scan::CertReport& report) {
+  auto os = render_stream();
+  os << report.certificates_seen << ' ' << report.selfsigned_mismatch << ' '
+     << report.torhost_cn << ' ' << report.public_dns_cn << ' '
+     << report.matching_cn << '\n';
+  for (const auto& finding : report.deanonymising)
+    os << finding.onion << ' ' << finding.port << ' ' << finding.common_name
+       << '\n';
+  return os.str();
+}
+
+std::string render(const scan::CrawlReport& report) {
+  auto os = render_stream();
+  os << report.destinations << ' ' << report.still_open << ' '
+     << report.connected << ' ' << report.failed_timeout << ' '
+     << report.failed_closed << ' ' << report.corrupt_pages << ' '
+     << report.recovered_by_revisit << ' ' << report.failures.size() << '\n';
+  for (const auto& page : report.pages)
+    os << page.onion << ' ' << page.port << ' ' << page.connected << ' '
+       << static_cast<int>(page.protocol) << ' ' << page.error_page << ' '
+       << page.text << '\n';
+  return os.str();
+}
+
+std::string render(const content::PipelineResult& result) {
+  auto os = render_stream();
+  os << result.destinations_total << ' ' << result.connected << ' '
+     << result.excluded_short << ' ' << result.excluded_ssh_banner << ' '
+     << result.excluded_dup443 << ' ' << result.excluded_error << ' '
+     << result.classifiable << ' ' << result.english << ' '
+     << result.torhost_default << ' ' << result.classified << '\n';
+  render_histogram(os, "port", result.port_counts);
+  for (const std::size_t count : result.language_counts) os << count << ' ';
+  os << '\n';
+  for (const std::size_t count : result.topic_counts) os << count << ' ';
+  os << '\n';
+  for (const auto& service : result.services)
+    os << service.onion << ' ' << service.port << ' '
+       << static_cast<int>(service.language) << ' '
+       << static_cast<int>(service.topic) << ' ' << service.topic_confidence
+       << '\n';
+  return os.str();
+}
+
+std::string render(const popularity::ResolutionReport& report) {
+  auto os = render_stream();
+  os << report.total_requests << ' ' << report.unique_descriptor_ids << ' '
+     << report.resolved_descriptor_ids << ' ' << report.resolved_onions
+     << ' ' << report.resolved_requests << '\n';
+  for (const auto& row : report.ranking)
+    os << row.onion << ' ' << row.requests << ' ' << row.label << ' '
+       << row.paper_alias << ' ' << row.paper_rank << '\n';
+  return os.str();
+}
+
+std::string render(const popularity::BotnetInferenceReport& report) {
+  auto os = render_stream();
+  for (const auto& c : report.cnc_candidates)
+    os << c.onion << ' ' << c.requests_per_2h << ' ' << c.http_503 << ' '
+       << c.server_status_exposed << ' ' << c.traffic_bytes_per_sec << ' '
+       << c.requests_per_sec << ' ' << c.apache_uptime_seconds << '\n';
+  for (const auto& server : report.physical_servers) {
+    os << server.apache_uptime_seconds << ' '
+       << server.mean_traffic_bytes_per_sec << ' '
+       << server.mean_requests_per_sec;
+    for (const auto& onion : server.onions) os << ' ' << onion;
+    os << '\n';
+  }
+  return os.str();
+}
+
+/// Every src/pipeline stage after population, in chain order.
+oracle::PaperChain run_pipeline(const pipeline::Config& config,
+                                const population::Population& pop) {
+  oracle::PaperChain out;
+  out.scan = pipeline::scan(config, pop);
+  out.cert = pipeline::cert(pop, out.scan);
+  out.crawl = pipeline::crawl(config, pop, out.scan);
+  out.content = pipeline::classify(config, out.crawl);
+  out.ranking = pipeline::resolve(config, pop);
+  out.botnet = pipeline::botnet(out.ranking, pop);
+  return out;
+}
+
+void expect_same_outputs(const oracle::PaperChain& got,
+                         const oracle::PaperChain& want) {
+  EXPECT_EQ(render(got.scan), render(want.scan));
+  EXPECT_EQ(render(got.cert), render(want.cert));
+  EXPECT_EQ(render(got.crawl), render(want.crawl));
+  EXPECT_EQ(render(got.content), render(want.content));
+  EXPECT_EQ(render(got.ranking), render(want.ranking));
+  EXPECT_EQ(render(got.botnet), render(want.botnet));
+}
+
+class PipelineSeedTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PipelineSeedTest, EveryStageMatchesTorbenchWiring) {
+  const std::uint64_t seed = GetParam();
+  const pipeline::Config config{.seed = seed, .scale = kScale, .threads = 1};
+  const auto pop = pipeline::population(config);
+  const auto want_pop = oracle::paper_population(seed, kScale);
+  EXPECT_EQ(render(pop), render(want_pop));
+  const oracle::PaperChain want = oracle::paper_chain(want_pop, seed, 1);
+  expect_same_outputs(run_pipeline(config, pop), want);
+  // The oracle must not be trivially empty.
+  EXPECT_GT(want.scan.total_open_ports(), 0);
+  EXPECT_GT(want.content.classified, 0u);
+  EXPECT_GT(want.ranking.resolved_onions, 0);
+}
+
+TEST_P(PipelineSeedTest, ThreadCountDoesNotChangeOutput) {
+  const std::uint64_t seed = GetParam();
+  const auto pop = pipeline::population({.seed = seed, .scale = kScale});
+  expect_same_outputs(
+      run_pipeline({.seed = seed, .scale = kScale, .threads = 4}, pop),
+      run_pipeline({.seed = seed, .scale = kScale, .threads = 1}, pop));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PipelineSeedTest,
+                         ::testing::Values(0u, 1u, 7u));
+
+TEST(PipelineFaultsTest, CrawlRevisitsUpToTheRetryBudget) {
+  const std::uint64_t seed = 1;
+  const fault::FaultPlan plan = fault::FaultPlan::parse("moderate");
+  ASSERT_GT(plan.retry.max_attempts, 1);
+  const pipeline::Config config{
+      .seed = seed, .scale = kScale, .threads = 1, .faults = plan};
+  const auto pop = pipeline::population(config);
+  const auto scan_report = pipeline::scan(config, pop);
+  EXPECT_EQ(render(scan_report),
+            render(scan::PortScanner(scan::ScanConfig{.seed = seed + 1,
+                                                      .threads = 1,
+                                                      .faults = plan})
+                       .scan(pop)));
+
+  const auto crawl_with = [&](int revisit_attempts) {
+    return scan::Crawler(scan::CrawlConfig{
+                             .seed = seed + 4,
+                             .faults = plan,
+                             .revisit_attempts = revisit_attempts})
+        .crawl(pop, scan_report);
+  };
+  const auto crawl = pipeline::crawl(config, pop, scan_report);
+  EXPECT_EQ(render(crawl), render(crawl_with(plan.retry.max_attempts)));
+  EXPECT_NE(render(crawl), render(crawl_with(1)));
+  EXPECT_GT(crawl.recovered_by_revisit, 0);
+}
+
+}  // namespace
+}  // namespace torsim

@@ -1,5 +1,5 @@
-// Shared between the torsim CLI (serve/load/query commands) and the
-// torsimd daemon binary: one place builds the WorldSession config and
+// Shared by the torsim CLI's serve/load/query commands and torbench's
+// serve-open harness: one place builds the WorldSession config and
 // renders result CSVs, so the daemon-served answers and the batch-CLI
 // answers are byte-comparable by construction (the serve equivalence
 // gate; docs/serving.md).
@@ -19,9 +19,9 @@
 
 namespace torsim::tools {
 
-/// The knobs that shape the resident world; torsimd and `torsim
-/// serve`/`torsim query` must agree on every one of them for the
-/// equivalence gate to hold.
+/// The knobs that shape the resident world; `torsim serve` and `torsim
+/// query` must agree on every one of them for the equivalence gate to
+/// hold.
 struct ServeParams {
   double scale = 0.1;
   std::uint64_t seed = 20130204;

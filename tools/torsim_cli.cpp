@@ -1,29 +1,18 @@
 // torsim — command-line driver for every experiment in the reproduction.
 //
-//   torsim scan        [--scale S] [--seed N] [--csv FILE]   Fig. 1
-//   torsim crawl       [--scale S] [--seed N]                Table I
-//   torsim classify    [--scale S] [--seed N] [--csv FILE]   Fig. 2
-//   torsim popularity  [--scale S] [--seed N] [--csv FILE]   Table II
-//   torsim botnet      [--scale S] [--seed N]                Goldnet inference
-//   torsim harvest     [--ips N] [--relays M] [--seed N]     Sec. II attack
-//   torsim trackdet    [--seed N] [--csv FILE]               Sec. VII
-//   torsim consensus   [--hours N] [--out FILE]              dir-spec dump
-//   torsim scenario    run|check|list [PACK]                 scenario packs
-//   torsim geoip IP [IP...]                                  GeoIP lookups
-//   torsim serve       --socket PATH [--services N]          warm-world daemon
-//   torsim load        --socket PATH [--clients N]           load generator
-//   torsim query       [--requests N] [--script FILE]        in-process answers
-//
-// The command list below is driven by kCommands: usage(), dispatch,
-// the unknown-command error, and the hidden --list-commands flag all
-// read the same table, so they cannot drift apart.
+// The commands are the kCommands table below (`torsim --help`); usage(),
+// dispatch and --list-commands all read it, so they cannot drift apart.
+// The paper-chain commands run src/pipeline's stages and only print.
 #include <array>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "serve/loadgen.hpp"
@@ -32,18 +21,12 @@
 #include "serve_common.hpp"
 
 #include "attack/harvester.hpp"
-#include "content/pipeline.hpp"
 #include "dirspec/consensus_doc.hpp"
 #include "fault/plan.hpp"
 #include "geo/client_map.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "popularity/botnet_inference.hpp"
-#include "popularity/request_generator.hpp"
-#include "popularity/resolver.hpp"
-#include "scan/cert_analysis.hpp"
-#include "scan/crawler.hpp"
-#include "scan/port_scanner.hpp"
+#include "pipeline/pipeline.hpp"
 #include "scenario/engine.hpp"
 #include "sim/world.hpp"
 #include "stats/histogram.hpp"
@@ -55,18 +38,14 @@ namespace {
 
 using namespace torsim;
 
-struct Options {
-  double scale = 0.1;
-  std::uint64_t seed = 20130204;
+/// Parsed flags. The pipeline::Config base holds --seed, --scale,
+/// --threads, --faults and the --metrics-out registry.
+struct Options : pipeline::Config {
   std::string csv;
   std::string out;
   int ips = 10;
   int relays = 12;
   int hours = 6;
-  /// Fan-out worker threads; 0 = one per hardware thread, 1 = serial.
-  int threads = 0;
-  /// Injected-fault plan (--faults mild|moderate|severe|k=v,...).
-  fault::FaultPlan faults{};
   /// The raw --faults text, kept for commands (scenario) that re-apply
   /// the spec themselves.
   std::string faults_spec;
@@ -90,9 +69,8 @@ struct Options {
 
   std::vector<std::string> positional;
 
-  /// Wired by main() when --metrics-out / --trace-out are given; the
-  /// commands thread these into their component configs.
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Wired by main() when --trace-out is given, like Config::metrics
+  /// for --metrics-out; the commands thread both into their configs.
   obs::TraceRecorder* trace = nullptr;
 };
 
@@ -106,6 +84,23 @@ util::LogLevel parse_log_level(const std::string& text) {
                               "' (expected debug|info|warn|error|off)");
 }
 
+/// Parses the whole of `text` as the value of `flag`. Trailing text,
+/// out-of-range values, NaN and infinities are rejected, and so are
+/// negative values unless `negative_ok`.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text,
+               bool negative_ok = false) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if constexpr (std::is_signed_v<T>) ok = ok && (negative_ok || value >= 0);
+  if (!ok)
+    throw std::invalid_argument("invalid value '" + text + "' for " + flag);
+  return value;
+}
+
 Options parse_options(int argc, char** argv, int first) {
   Options opt;
   for (int i = first; i < argc; ++i) {
@@ -115,14 +110,17 @@ Options parse_options(int argc, char** argv, int first) {
         throw std::invalid_argument("missing value for " + arg);
       return argv[++i];
     };
-    if (arg == "--scale") opt.scale = std::stod(next());
-    else if (arg == "--seed") opt.seed = std::stoull(next());
+    const auto count = [&] { return parse_number<int>(arg, next()); };
+    if (arg == "--scale") opt.scale = parse_number<double>(arg, next());
+    else if (arg == "--seed")
+      opt.seed = parse_number<std::uint64_t>(arg, next());
     else if (arg == "--csv") opt.csv = next();
     else if (arg == "--out") opt.out = next();
-    else if (arg == "--ips") opt.ips = std::stoi(next());
-    else if (arg == "--relays") opt.relays = std::stoi(next());
-    else if (arg == "--hours") opt.hours = std::stoi(next());
-    else if (arg == "--threads") opt.threads = std::stoi(next());
+    else if (arg == "--ips") opt.ips = count();
+    else if (arg == "--relays") opt.relays = count();
+    else if (arg == "--hours") opt.hours = count();
+    else if (arg == "--threads")
+      opt.threads = parse_number<int>(arg, next(), /*negative_ok=*/true);
     else if (arg == "--faults") {
       opt.faults_spec = next();
       opt.faults = fault::FaultPlan::parse(opt.faults_spec);
@@ -131,14 +129,14 @@ Options parse_options(int argc, char** argv, int first) {
     else if (arg == "--trace-out") opt.trace_out = next();
     else if (arg == "--log-level") util::set_log_level(parse_log_level(next()));
     else if (arg == "--socket") opt.socket = next();
-    else if (arg == "--services") opt.services = std::stoi(next());
-    else if (arg == "--clients") opt.clients = std::stoi(next());
-    else if (arg == "--requests") opt.requests = std::stoi(next());
+    else if (arg == "--services") opt.services = count();
+    else if (arg == "--clients") opt.clients = count();
+    else if (arg == "--requests") opt.requests = count();
     else if (arg == "--open-loop") opt.open_loop = true;
     else if (arg == "--shutdown") opt.shutdown = true;
     else if (arg == "--script") opt.script = next();
-    else if (arg == "--batch-max") opt.batch_max = std::stoi(next());
-    else if (arg == "--queue-cap") opt.queue_cap = std::stoi(next());
+    else if (arg == "--batch-max") opt.batch_max = count();
+    else if (arg == "--queue-cap") opt.queue_cap = count();
     else if (arg == "--chaos") opt.chaos_spec = next();
     else if (arg == "--telemetry-out") opt.telemetry_out = next();
     else if (!arg.empty() && arg[0] == '-')
@@ -154,23 +152,9 @@ Options parse_options(int argc, char** argv, int first) {
 int write_text_file(const std::string& path, const std::string& text,
                     const char* what);
 
-population::Population make_population(const Options& opt) {
-  population::PopulationConfig config;
-  config.seed = opt.seed;
-  config.scale = opt.scale;
-  return population::Population::generate(config);
-}
-
 int cmd_scan(const Options& opt) {
-  const auto pop = make_population(opt);
-  scan::PortScanner scanner(scan::ScanConfig{.seed = opt.seed + 1,
-                                             .scan_days = 8,
-                                             .probe_timeout_probability =
-                                                 0.02,
-                                             .threads = opt.threads,
-                                             .faults = opt.faults,
-                                             .metrics = opt.metrics});
-  const auto report = scanner.scan(pop);
+  const auto pop = pipeline::population(opt);
+  const auto report = pipeline::scan(opt, pop);
   std::printf("scanned %lld onions (descriptors available), found %lld open "
               "ports on %lld of them (coverage %.0f%%)\n",
               static_cast<long long>(report.onions_scanned),
@@ -205,6 +189,7 @@ int cmd_scan(const Options& opt) {
       per_port[port][2] = count;
     for (const auto& [port, counts] : per_port)
       csv.typed_row(port, counts[0], counts[1], counts[2]);
+    csv.close();
     std::printf("wrote %zu rows to %s\n", csv.rows_written(),
                 opt.csv.c_str());
   }
@@ -212,17 +197,9 @@ int cmd_scan(const Options& opt) {
 }
 
 int cmd_crawl(const Options& opt) {
-  const auto pop = make_population(opt);
-  scan::PortScanner scanner(scan::ScanConfig{.threads = opt.threads,
-                                             .faults = opt.faults,
-                                             .metrics = opt.metrics});
-  const auto scan_report = scanner.scan(pop);
-  scan::Crawler crawler(scan::CrawlConfig{
-      .faults = opt.faults,
-      .revisit_attempts =
-          opt.faults.enabled() ? opt.faults.retry.max_attempts : 1,
-      .metrics = opt.metrics});
-  const auto crawl = crawler.crawl(pop, scan_report);
+  const auto pop = pipeline::population(opt);
+  const auto scan_report = pipeline::scan(opt, pop);
+  const auto crawl = pipeline::crawl(opt, pop, scan_report);
   std::printf("destinations %lld -> still open %lld -> connected %lld "
               "(failed: %lld timeout, %lld closed)\n",
               static_cast<long long>(crawl.destinations),
@@ -242,7 +219,7 @@ int cmd_crawl(const Options& opt) {
   for (const auto& [port, count] : per_port)
     if (count >= 3 || port == 8080)
       std::printf("  %-6u %d\n", port, count);
-  const auto certs = scan::analyse_certificates(pop, scan_report);
+  const auto certs = pipeline::cert(pop, scan_report);
   std::printf("certificates: %lld seen, %lld CN-mismatch (%lld TorHost), "
               "%lld public-DNS\n",
               static_cast<long long>(certs.certificates_seen),
@@ -253,23 +230,9 @@ int cmd_crawl(const Options& opt) {
 }
 
 int cmd_classify(const Options& opt) {
-  const auto pop = make_population(opt);
-  scan::PortScanner scanner(scan::ScanConfig{.threads = opt.threads,
-                                             .faults = opt.faults,
-                                             .metrics = opt.metrics});
-  const auto scan_report = scanner.scan(pop);
-  scan::Crawler crawler(scan::CrawlConfig{
-      .faults = opt.faults,
-      .revisit_attempts =
-          opt.faults.enabled() ? opt.faults.retry.max_attempts : 1,
-      .metrics = opt.metrics});
-  const auto crawl = crawler.crawl(pop, scan_report);
-  util::Rng rng(opt.seed + 2);
-  const auto classifier = content::TopicClassifier::make_default(rng);
-  content::ContentPipeline pipeline(classifier,
-                                    content::LanguageDetector::instance(),
-                                    {.threads = opt.threads});
-  const auto result = pipeline.run(crawl.pages);
+  const auto pop = pipeline::population(opt);
+  const auto result = pipeline::classify(
+      opt, pipeline::crawl(opt, pop, pipeline::scan(opt, pop)));
   std::printf("classifiable %zu, English %zu (%.0f%%), TorHost defaults %zu, "
               "classified %zu\n",
               result.classifiable, result.english,
@@ -287,6 +250,7 @@ int cmd_classify(const Options& opt) {
     for (int i = 0; i < content::kNumTopics; ++i)
       csv.typed_row(content::topic_name(content::topic_from_index(i)),
                     result.topic_counts[i], pct[i]);
+    csv.close();
     std::printf("wrote %zu rows to %s\n", csv.rows_written(),
                 opt.csv.c_str());
   }
@@ -294,14 +258,7 @@ int cmd_classify(const Options& opt) {
 }
 
 int cmd_popularity(const Options& opt) {
-  const auto pop = make_population(opt);
-  popularity::RequestGenerator generator(popularity::RequestGeneratorConfig{
-      .seed = opt.seed + 3, .metrics = opt.metrics});
-  const auto stream = generator.generate(pop);
-  popularity::DescriptorResolver resolver(popularity::ResolverConfig{
-      .threads = opt.threads, .metrics = opt.metrics});
-  resolver.build_dictionary(pop);
-  const auto report = resolver.resolve(stream, pop);
+  const auto report = pipeline::resolve(opt, pipeline::population(opt));
   std::printf("%lld requests, %lld unique ids, %lld resolved to %lld onions "
               "(unresolved share %.2f)\n",
               static_cast<long long>(report.total_requests),
@@ -322,6 +279,7 @@ int cmd_popularity(const Options& opt) {
       csv.typed_row(i + 1, report.ranking[i].onion,
                     report.ranking[i].requests, report.ranking[i].label,
                     report.ranking[i].paper_rank);
+    csv.close();
     std::printf("wrote %zu rows to %s\n", csv.rows_written(),
                 opt.csv.c_str());
   }
@@ -329,15 +287,8 @@ int cmd_popularity(const Options& opt) {
 }
 
 int cmd_botnet(const Options& opt) {
-  const auto pop = make_population(opt);
-  popularity::RequestGenerator generator(popularity::RequestGeneratorConfig{
-      .seed = opt.seed + 3, .metrics = opt.metrics});
-  const auto stream = generator.generate(pop);
-  popularity::DescriptorResolver resolver(popularity::ResolverConfig{
-      .threads = opt.threads, .metrics = opt.metrics});
-  resolver.build_dictionary(pop);
-  const auto ranking = resolver.resolve(stream, pop);
-  const auto report = popularity::infer_botnet_infrastructure(ranking, pop);
+  const auto pop = pipeline::population(opt);
+  const auto report = pipeline::botnet(pipeline::resolve(opt, pop), pop);
   std::printf("C&C-fingerprint candidates among top of ranking: %zu\n",
               report.cnc_candidates.size());
   for (const auto& server : report.physical_servers) {
@@ -404,6 +355,7 @@ int cmd_trackdet(const Options& opt) {
       csv.typed_row(s.name, s.stats.periods_responsible,
                     s.stats.fingerprint_switches, s.stats.max_ratio,
                     s.flags.count(), s.truth_campaign);
+    csv.close();
     std::printf("wrote %zu rows to %s\n", csv.rows_written(),
                 opt.csv.c_str());
   }
@@ -434,31 +386,12 @@ int cmd_consensus(const Options& opt) {
 int cmd_report(const Options& opt) {
   // Full pipeline at the requested scale, emitted as a measured-vs-paper
   // markdown report (the generator behind EXPERIMENTS.md).
-  const auto pop = make_population(opt);
-  scan::PortScanner scanner(scan::ScanConfig{.threads = opt.threads,
-                                             .faults = opt.faults,
-                                             .metrics = opt.metrics});
-  const auto scan_report = scanner.scan(pop);
-  const auto certs = scan::analyse_certificates(pop, scan_report);
-  scan::Crawler crawler(scan::CrawlConfig{
-      .faults = opt.faults,
-      .revisit_attempts =
-          opt.faults.enabled() ? opt.faults.retry.max_attempts : 1,
-      .metrics = opt.metrics});
-  const auto crawl = crawler.crawl(pop, scan_report);
-  util::Rng rng(opt.seed + 2);
-  const auto classifier = content::TopicClassifier::make_default(rng);
-  content::ContentPipeline pipeline(classifier,
-                                    content::LanguageDetector::instance(),
-                                    {.threads = opt.threads});
-  const auto content_report = pipeline.run(crawl.pages);
-  popularity::RequestGenerator generator(popularity::RequestGeneratorConfig{
-      .seed = opt.seed + 3, .metrics = opt.metrics});
-  const auto stream = generator.generate(pop);
-  popularity::DescriptorResolver resolver(popularity::ResolverConfig{
-      .threads = opt.threads, .metrics = opt.metrics});
-  resolver.build_dictionary(pop);
-  const auto resolution = resolver.resolve(stream, pop);
+  const auto pop = pipeline::population(opt);
+  const auto scan_report = pipeline::scan(opt, pop);
+  const auto certs = pipeline::cert(pop, scan_report);
+  const auto crawl = pipeline::crawl(opt, pop, scan_report);
+  const auto content_report = pipeline::classify(opt, crawl);
+  const auto resolution = pipeline::resolve(opt, pop);
 
   const auto& paper = population::paper();
   const double s = opt.scale;
@@ -599,6 +532,7 @@ int cmd_scenario(const Options& opt) {
   if (!opt.csv.empty()) {
     util::CsvWriter csv(opt.csv);
     report.write_timeline(csv);
+    csv.close();
     std::printf("wrote %zu rows to %s\n", csv.rows_written(),
                 opt.csv.c_str());
   }
@@ -681,11 +615,11 @@ int cmd_serve(const Options& opt) {
   sc.telemetry = &telemetry;
   serve::Server server(session, sc);
   server.start();
-  std::printf("torsimd listening on %s (services %d, warmup %dh)\n",
+  std::printf("torsim serve listening on %s (services %d, warmup %dh)\n",
               server.socket_path().c_str(), opt.services, opt.hours);
   std::fflush(stdout);
   server.run();
-  std::printf("torsimd: event loop exited\n");
+  std::printf("torsim serve: event loop exited\n");
   if (!opt.telemetry_out.empty())
     return write_text_file(opt.telemetry_out, telemetry.to_json(),
                            "serve telemetry");
@@ -722,6 +656,7 @@ int cmd_load(const Options& opt) {
   if (!opt.csv.empty()) {
     util::CsvWriter csv(opt.csv);
     tools::write_result_csv(csv, result.requests, result.responses);
+    csv.close();
     std::printf("wrote %zu rows to %s\n", csv.rows_written(),
                 opt.csv.c_str());
   }
@@ -751,6 +686,7 @@ int cmd_query(const Options& opt) {
   if (!opt.csv.empty()) {
     util::CsvWriter csv(opt.csv);
     tools::write_result_csv(csv, mix, responses);
+    csv.close();
     std::printf("wrote %zu rows to %s\n", csv.rows_written(),
                 opt.csv.c_str());
   }
@@ -764,8 +700,11 @@ int write_text_file(const std::string& path, const std::string& text,
     std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
     return 1;
   }
-  std::fputs(text.c_str(), f);
-  std::fclose(f);
+  const bool written = std::fputs(text.c_str(), f) != EOF;
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return 1;
+  }
   std::printf("wrote %s to %s\n", what, path.c_str());
   return 0;
 }
