@@ -5,8 +5,6 @@
 // topic distribution shifts when the classifier family changes.
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
-
 #include <cstdio>
 #include <functional>
 #include <vector>
@@ -115,8 +113,9 @@ void print_ablation() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  torsim::bench::init("abl_classifier", &argc, argv);
-  torsim::bench::run_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   print_ablation();
-  return torsim::bench::finish();
 }

@@ -8,8 +8,6 @@
 // the scanner's bounded retries claw back.
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
-
 #include <cstdio>
 
 #include "fault/plan.hpp"
@@ -78,8 +76,9 @@ void print_ablation() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  torsim::bench::init("abl_faults", &argc, argv);
-  torsim::bench::run_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   print_ablation();
-  return torsim::bench::finish();
 }

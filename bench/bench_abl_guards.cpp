@@ -8,8 +8,6 @@
 // churn and report the cumulative compromise curve.
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
-
 #include <cstdio>
 #include <vector>
 
@@ -112,8 +110,9 @@ void print_ablation() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  torsim::bench::init("abl_guards", &argc, argv);
-  torsim::bench::run_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   print_ablation();
-  return torsim::bench::finish();
 }

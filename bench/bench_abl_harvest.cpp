@@ -8,8 +8,6 @@
 // supposed to enforce).
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
-
 #include <cstdio>
 #include <set>
 
@@ -104,8 +102,9 @@ void print_ablation() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  torsim::bench::init("abl_harvest", &argc, argv);
-  torsim::bench::run_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   print_ablation();
-  return torsim::bench::finish();
 }

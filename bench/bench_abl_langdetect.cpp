@@ -6,8 +6,6 @@
 // 20-word exclusion keeps the Fig. 2 language split trustworthy.
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
-
 #include <cstdio>
 
 #include "content/language_detector.hpp"
@@ -64,8 +62,9 @@ void print_ablation() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  torsim::bench::init("abl_langdetect", &argc, argv);
-  torsim::bench::run_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   print_ablation();
-  return torsim::bench::finish();
 }

@@ -7,8 +7,6 @@
 // their own relays > 100, the May campaign > 10k).
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
-
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -67,8 +65,7 @@ dirauth::Consensus make_ring_consensus(int n) {
   return {0, std::move(entries)};
 }
 
-// The 1024 lookup targets every ring bench (and the deterministic
-// checksum rows) share.
+// The 1024 lookup targets the ring-lookup bench walks.
 std::vector<crypto::DescriptorId> lookup_ids() {
   util::Rng rng(73);
   std::vector<crypto::DescriptorId> ids(1024);
@@ -137,29 +134,6 @@ void BM_DeriveDescriptorIds(benchmark::State& state) {
 }
 BENCHMARK(BM_DeriveDescriptorIds);
 
-// Deterministic checksums over the two kernels' outputs, recorded as
-// rows: the resolved responsible sets and the derived descriptor ids.
-void print_ring_index_rows() {
-  bench::print_header("Ring kernels — deterministic checksums");
-
-  const dirauth::Consensus consensus = make_ring_consensus(1300);
-  const std::vector<crypto::DescriptorId> ids = lookup_ids();
-  double relay_sum = 0.0;
-  for (const auto& id : ids)
-    for (const dirauth::ConsensusEntry* e : consensus.responsible_hsdirs(id))
-      relay_sum += static_cast<double>(e->relay);
-  bench::print_row("responsible relay-id sum", relay_sum, 0.0);
-
-  double byte_sum = 0.0;
-  const std::vector<std::uint32_t> periods = derive_periods();
-  const auto secrets =
-      crypto::secret_id_parts(periods.front(), periods.size());
-  for (const crypto::PermanentId& pid : derive_pids())
-    for (const crypto::DescriptorId& id : derive_ids(pid, secrets))
-      byte_sum += static_cast<double>(id[0]);
-  bench::print_row("derived descriptor-id byte sum", byte_sum, 0.0);
-}
-
 void print_ablation() {
   std::printf("\n==== Ablation — distance ratio: honest vs positioned ====\n");
   util::Rng rng(71);
@@ -214,9 +188,9 @@ void print_ablation() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  torsim::bench::init("abl_ring", &argc, argv);
-  torsim::bench::run_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   print_ablation();
-  print_ring_index_rows();
-  return torsim::bench::finish();
 }

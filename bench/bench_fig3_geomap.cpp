@@ -5,8 +5,10 @@
 // per-country aggregation (the analytic content of the map).
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <vector>
+
 #include "attack/deanonymizer.hpp"
-#include "bench_common.hpp"
 #include "geo/client_map.hpp"
 #include "sim/world.hpp"
 
@@ -79,7 +81,7 @@ BENCHMARK(BM_GeoLookup);
 
 void print_figure3() {
   const auto study = run_geo_study(1300, 400, 3);
-  bench::print_header("Figure 3 — clients of a popular hidden service");
+  std::printf("\n==== Figure 3 — clients of a popular hidden service ====\n");
   std::printf("  clients simulated: %d; fetches observed: %lld\n",
               study.clients_total,
               static_cast<long long>(study.report.fetches_observed));
@@ -102,8 +104,9 @@ void print_figure3() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  torsim::bench::init("fig3_geomap", &argc, argv);
-  torsim::bench::run_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   print_figure3();
-  return torsim::bench::finish();
 }

@@ -9,7 +9,6 @@
 
 #include "attack/deanonymizer.hpp"
 #include "attack/signature.hpp"
-#include "bench_common.hpp"
 #include "sim/world.hpp"
 
 namespace {
@@ -90,7 +89,8 @@ void BM_DeanonSweepPoint(benchmark::State& state) {
 BENCHMARK(BM_DeanonSweepPoint)->Unit(benchmark::kMillisecond);
 
 void print_sweep() {
-  bench::print_header("Sec. VI — deanonymisation probability vs guard share");
+  std::printf(
+      "\n==== Sec. VI — deanonymisation probability vs guard share ====\n");
   std::printf("  %-16s %-12s %-14s %s\n", "attacker guards", "bw share",
               "P(deanon)/fetch", "ratio");
   for (int guards : {0, 5, 10, 20, 40, 80}) {
@@ -117,7 +117,7 @@ void print_sweep() {
     sig.inject(clean);
     if (sig.detect(clean)) ++detected;
   }
-  bench::print_header("Traffic-signature fidelity");
+  std::printf("\n==== Traffic-signature fidelity ====\n");
   std::printf("  detection rate:      %.4f\n",
               static_cast<double>(detected) / trials);
   std::printf("  false-positive rate: %.5f\n",
@@ -127,8 +127,9 @@ void print_sweep() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  torsim::bench::init("sec6_deanon", &argc, argv);
-  torsim::bench::run_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   print_sweep();
-  return torsim::bench::finish();
 }

@@ -1,7 +1,7 @@
 // Deterministic JSON emission for the observability subsystem.
 //
-// Every consumer of obs output (metrics goldens, Chrome traces, the
-// BENCH_*.json trajectory) compares bytes, so the writer guarantees a
+// Every consumer of obs output (metrics goldens, Chrome traces)
+// compares bytes, so the writer guarantees a
 // canonical encoding: callers emit keys in a fixed (sorted) order,
 // integers print without exponent, and doubles always go through one
 // fixed "%.10g" format. No locales, no field reordering, no

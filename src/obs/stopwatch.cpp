@@ -3,10 +3,8 @@
 #include "obs/stopwatch.hpp"
 
 #include <chrono>
-#include <cstdio>
 
 #include <sys/resource.h>
-#include <unistd.h>
 
 namespace torsim::obs {
 
@@ -21,23 +19,6 @@ std::int64_t peak_rss_bytes() {
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   // Linux reports ru_maxrss in kilobytes.
   return static_cast<std::int64_t>(usage.ru_maxrss) * 1024;
-}
-
-std::int64_t current_rss_bytes() {
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  long long total_pages = 0, resident_pages = 0;
-  const int fields = std::fscanf(f, "%lld %lld", &total_pages,
-                                 &resident_pages);
-  std::fclose(f);
-  if (fields != 2) return 0;
-  return static_cast<std::int64_t>(resident_pages) * sysconf(_SC_PAGESIZE);
-}
-
-double PhaseTimer::total_seconds() const {
-  double total = 0.0;
-  for (const auto& [name, seconds] : phases_) total += seconds;
-  return total;
 }
 
 }  // namespace torsim::obs

@@ -1,19 +1,16 @@
-// Wall-clock phase timing and peak-RSS sampling for *non-golden* perf
-// reports (the BENCH_*.json trajectory, --threads sweeps).
+// Wall-clock and peak-RSS readings for *non-golden* perf telemetry
+// (load-generator latencies, the population RSS budget test).
 //
 // This module is the torsim tree's single sanctioned wall-clock
 // reader: obs/stopwatch.cpp is the only file where detlint permits
 // std::chrono::steady_clock (the allowlist is path-scoped — a chrono
 // call anywhere else still fails the lint gate, see
 // docs/static-analysis.md). Nothing here may flow into a golden,
-// a CSV, a metrics registry, or a trace: wall time is ambient state,
-// so it is quarantined into the separate perf section of reports.
+// a CSV, a metrics registry, or a trace: wall time is ambient state.
 // Sim-time observability lives in obs/metrics.hpp and obs/trace.hpp.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace torsim::obs {
 
@@ -23,44 +20,5 @@ double wall_clock_seconds();
 /// The process's peak resident set size in bytes (getrusage), or 0
 /// when the platform does not report it.
 std::int64_t peak_rss_bytes();
-
-/// The process's *current* resident set size in bytes
-/// (/proc/self/statm), or 0 when the platform does not report it.
-/// bench_population reads this before/after building each layout to
-/// measure the delta peak_rss_bytes cannot see (peak never goes down).
-std::int64_t current_rss_bytes();
-
-/// Accumulating named phase timers for a bench/CLI run:
-///   PhaseTimer timer;
-///   { PhaseTimer::Scope s = timer.scope("population"); build(); }
-/// Phases accumulate across repeated scopes; emission is name-ordered.
-class PhaseTimer {
- public:
-  class Scope {
-   public:
-    Scope(PhaseTimer& timer, std::string name)
-        : timer_(timer), name_(std::move(name)),
-          start_(wall_clock_seconds()) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() { timer_.add(name_, wall_clock_seconds() - start_); }
-
-   private:
-    PhaseTimer& timer_;
-    std::string name_;
-    double start_;
-  };
-
-  Scope scope(std::string name) { return Scope(*this, std::move(name)); }
-  void add(const std::string& name, double seconds) {
-    phases_[name] += seconds;
-  }
-
-  const std::map<std::string, double>& phases() const { return phases_; }
-  double total_seconds() const;
-
- private:
-  std::map<std::string, double> phases_;
-};
 
 }  // namespace torsim::obs

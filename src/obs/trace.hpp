@@ -9,8 +9,8 @@
 // single-threaded sim engine); the internal mutex protects integrity
 // if that contract is broken, but event order — and thus the exported
 // bytes — is only guaranteed deterministic for serial recording.
-// Wall-clock phase timing lives in obs/stopwatch.hpp, feeding the
-// separate non-golden perf report.
+// Wall-clock readings live in obs/stopwatch.hpp and never reach a
+// trace.
 #pragma once
 
 #include <cstdint>

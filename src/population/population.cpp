@@ -74,35 +74,6 @@ net::TlsCertificate torhost_certificate() {
   return cert;
 }
 
-/// Mirror of the retired array-of-structs ServiceRecord, kept only so
-/// MemoryFootprint::legacy_record_bytes tracks the real ABI cost the
-/// SoA columns replaced (bench_population reports the delta).
-struct LegacyRecordShape {
-  std::size_t index;
-  crypto::KeyPair key;
-  std::string onion;
-  ServiceClass klass;
-  std::string label;
-  std::string paper_alias;
-  net::ServiceProfile profile;
-  content::Topic topic;
-  content::Language language;
-  bool published_at_scan;
-  double daily_availability;
-  bool alive_at_crawl;
-  double requests_per_2h;
-  int paper_rank;
-  int physical_server;
-};
-
-/// Heap bytes one owning std::string of `size` chars cost in the legacy
-/// layout: nothing inside the SSO buffer, one minimum malloc chunk
-/// above it (every string in this population fits a 32-byte chunk).
-std::size_t legacy_string_heap_bytes(std::size_t size) {
-  constexpr std::size_t kSsoCapacity = 15;
-  return size <= kSsoCapacity ? 0 : 32;
-}
-
 }  // namespace
 
 const char* to_string(ServiceClass klass) {
@@ -159,22 +130,6 @@ Population::MemoryFootprint Population::memory_footprint() const {
                    column(published_at_scan_) + column(daily_availability_) +
                    column(alive_at_crawl_) + column(requests_per_2h_) +
                    column(paper_ranks_) + column(physical_servers_);
-  // One bucket pointer + one node (key view, id, chain pointer) per
-  // entry — the same estimate style as StringInterner::bytes().
-  f.index_bytes = by_onion_.size() *
-                  (sizeof(std::string_view) + sizeof(ServiceId) +
-                   2 * sizeof(void*));
-  f.interner_bytes = util::global_interner().bytes();
-  f.legacy_record_bytes = size() * sizeof(LegacyRecordShape);
-  const util::StringInterner& interner = util::global_interner();
-  for (ServiceId id = 0; id < onions_.size(); ++id) {
-    f.legacy_record_bytes += legacy_string_heap_bytes(
-        interner.view(onions_[id]).size());
-    f.legacy_record_bytes += legacy_string_heap_bytes(
-        interner.view(labels_[id]).size());
-    f.legacy_record_bytes += legacy_string_heap_bytes(
-        interner.view(aliases_[id]).size());
-  }
   return f;
 }
 

@@ -182,21 +182,13 @@ class Population {
 
   const PopulationConfig& config() const { return config_; }
 
-  /// Deterministic byte accounting for the BENCH JSON "population"
-  /// section (bench_population): column footprints are exact; the
-  /// interner share reports the whole global table.
+  /// Deterministic column byte accounting (PopulationLayoutTest pins
+  /// it to the exact per-service cost).
   struct MemoryFootprint {
     std::size_t services = 0;
     /// Sum of column capacities (keys/profiles counted as slots only;
-    /// their heap payloads are layout-independent and excluded).
+    /// their heap payloads are excluded).
     std::size_t column_bytes = 0;
-    /// by_onion_ lookup index estimate.
-    std::size_t index_bytes = 0;
-    /// util::global_interner().bytes() at sampling time.
-    std::size_t interner_bytes = 0;
-    /// What the same records cost in the legacy array-of-structs layout
-    /// (per-record struct slots; same exclusions as column_bytes).
-    std::size_t legacy_record_bytes = 0;
   };
   MemoryFootprint memory_footprint() const;
 

@@ -1,11 +1,14 @@
 // Pins the data-oriented layout contracts (ROADMAP item 3,
 // docs/data-layout.md): the global string interner's determinism and
-// view stability, the Population facade's exact column reserves and
-// handle (not reference) identity, the hsdir descriptor arena's
-// epoch-gated compaction against Consensus::generation's copy/move
-// semantics, and the interned Fig. 1 port labels feeding the scan CSV.
+// view stability, the Population facade's exact column reserves,
+// handle (not reference) identity and peak-RSS budget, the hsdir
+// descriptor arena's epoch-gated compaction against
+// Consensus::generation's copy/move semantics, and the interned Fig. 1
+// port labels feeding the scan CSV.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -18,6 +21,7 @@
 #include "dirauth/authority.hpp"
 #include "hsdir/descriptor.hpp"
 #include "hsdir/store.hpp"
+#include "obs/stopwatch.hpp"
 #include "population/population.hpp"
 #include "relay/registry.hpp"
 #include "scan/port_scanner.hpp"
@@ -25,6 +29,14 @@
 #include "util/csv.hpp"
 #include "util/interner.hpp"
 #include "util/rng.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define TORSIM_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define TORSIM_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace torsim {
 namespace {
@@ -224,6 +236,47 @@ TEST(PopulationLayoutTest, IdentityIsTheIndexNotAReference) {
   EXPECT_EQ(copy.onion(id), moved.onion(id));
   EXPECT_EQ(copy.service(id).requests_per_2h(),
             moved.service(id).requests_per_2h());
+}
+
+// Peak-RSS budget: the paper-seed population at scale 0.05 plus three
+// publish/refresh rounds and a compaction on one DescriptorStore must
+// peak under 16 MiB + 10%. Peak RSS belongs to the whole process, so
+// the test measures only when it is the one test running (ctest runs
+// every test in its own process). Sanitizer runtimes inflate RSS, so
+// it skips under ASan and TSan.
+TEST(PopulationLayoutTest, PeakRssUnderBudgetAtScale005) {
+#ifdef TORSIM_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes inflate peak RSS";
+#endif
+  if (::testing::UnitTest::GetInstance()->test_to_run_count() != 1)
+    GTEST_SKIP() << "peak RSS is per process; run this test alone";
+  constexpr std::int64_t kPeakRssBudgetBytes = 18'454'937;
+
+  population::PopulationConfig config;
+  config.seed = 20130204;
+  config.scale = 0.05;
+  const auto pop = population::Population::generate(config);
+
+  util::Rng rng(77);
+  std::vector<crypto::Fingerprint> intros(3);
+  for (auto& fp : intros)
+    for (auto& byte : fp) byte = static_cast<std::uint8_t>(rng.index(256));
+  const auto count = static_cast<population::ServiceId>(
+      std::min<std::size_t>(pop.size(), 2000));
+  hsdir::DescriptorStore store;
+  store.observe_epoch(1);
+  // One publish and two refreshes of the same ids leave two thirds of
+  // the arena dead, so the next epoch compacts.
+  for (int round = 0; round < 3; ++round)
+    for (population::ServiceId id = 0; id < count; ++id)
+      store.store(hsdir::make_descriptor(pop.service(id).key(), intros, 0,
+                                         kT0));
+  store.observe_epoch(2);
+  EXPECT_EQ(store.compactions(), 1);
+
+  const std::int64_t peak = obs::peak_rss_bytes();
+  RecordProperty("peak_rss_bytes", std::to_string(peak));
+  EXPECT_LE(peak, kPeakRssBudgetBytes);
 }
 
 // ---------------------------------------------------------------------

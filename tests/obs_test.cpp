@@ -1,8 +1,8 @@
 // The observability subsystem's own contract tests: JSON writer
 // canonical form, metric semantics, shard-merge determinism, sim-time
-// trace export, and the BENCH_*.json report writer (including the
-// "paper == 0 prints n/a" rule). The cross-thread byte-identity of the
-// full pipelines is covered end to end in serial_equivalence_test.cpp.
+// trace export, and the peak-RSS reading. The cross-thread
+// byte-identity of the full pipelines is covered end to end in
+// serial_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
@@ -280,52 +279,8 @@ TEST(TraceRecorderTest, NullRecorderDisablesSpans) {
 
 // --- stopwatch (wall clock, non-golden) -------------------------------
 
-TEST(StopwatchTest, PhaseTimerAccumulatesNamedPhases) {
-  PhaseTimer timer;
-  { const auto scope = timer.scope("a"); }
-  { const auto scope = timer.scope("a"); }
-  { const auto scope = timer.scope("b"); }
-  const auto phases = timer.phases();
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_GE(phases.at("a"), 0.0);
-  EXPECT_GE(phases.at("b"), 0.0);
-  EXPECT_GE(timer.total_seconds(), 0.0);
-}
-
 TEST(StopwatchTest, PeakRssIsPositive) {
   EXPECT_GT(peak_rss_bytes(), 0);
-}
-
-// --- bench report -----------------------------------------------------
-
-TEST(BenchReportTest, ZeroPaperValuePrintsNaAndExportsNullRatio) {
-  BenchReport report("unit");
-  testing::internal::CaptureStdout();
-  report.print_header("section");
-  report.print_row("with baseline", 10, 20);
-  report.print_row("no baseline", 10, 0);
-  const std::string console = testing::internal::GetCapturedStdout();
-  EXPECT_NE(console.find("x0.50"), std::string::npos) << console;
-  EXPECT_NE(console.find("n/a"), std::string::npos) << console;
-  EXPECT_EQ(console.find("x0.00"), std::string::npos) << console;
-  const std::string doc = report.to_json();
-  EXPECT_NE(doc.find("\"ratio\": 0.5"), std::string::npos) << doc;
-  EXPECT_NE(doc.find("\"ratio\": null"), std::string::npos) << doc;
-}
-
-TEST(BenchReportTest, JsonCarriesEverySection) {
-  BenchReport report("unit");
-  report.set_scale(0.25);
-  report.metrics().counter("c").inc(3);
-  report.add_benchmark("BM_Thing", 0.5, 0.4, 8);
-  { const auto scope = report.phases().scope("build"); }
-  const std::string doc = report.to_json();
-  for (const char* needle :
-       {"\"schema\": \"torsim-bench-v1\"", "\"name\": \"unit\"",
-        "\"scale\": 0.25", "\"rows\"", "\"benchmarks\"", "\"BM_Thing\"",
-        "\"wall_clock\"", "\"build\"", "\"peak_rss_bytes\"",
-        "\"counters\"", "\"gauges\"", "\"histograms\""})
-    EXPECT_NE(doc.find(needle), std::string::npos) << needle;
 }
 
 }  // namespace

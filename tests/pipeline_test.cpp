@@ -2,15 +2,20 @@
 // it: every stage's output is rendered in full and must be
 // byte-identical to the oracle's for several seeds, at threads 1 and 4.
 // Under an enabled fault plan the crawl must re-visit destinations up
-// to the plan's retry budget.
+// to the plan's retry budget. The paper rows `torsim report` does not
+// print (the Sec. IV exclusion funnel and the in-text language split)
+// are checked against the paper at scale 0.05.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iomanip>
 #include <sstream>
 #include <string>
 
+#include "content/topics.hpp"
 #include "oracles.hpp"
 #include "pipeline/pipeline.hpp"
+#include "population/paper_constants.hpp"
 
 namespace torsim {
 namespace {
@@ -199,6 +204,57 @@ TEST(PipelineFaultsTest, CrawlRevisitsUpToTheRetryBudget) {
   EXPECT_EQ(render(crawl), render(crawl_with(plan.retry.max_attempts)));
   EXPECT_NE(render(crawl), render(crawl_with(1)));
   EXPECT_GT(crawl.recovered_by_revisit, 0);
+}
+
+// The paper seed's content stage at scale 0.05, as `torsim classify
+// --scale 0.05` runs it.
+const content::PipelineResult& content_at_scale005() {
+  static const content::PipelineResult result = [] {
+    const pipeline::Config config{.seed = 20130204, .scale = 0.05,
+                                  .threads = 1};
+    const auto pop = pipeline::population(config);
+    const auto scan_report = pipeline::scan(config, pop);
+    return pipeline::classify(config,
+                              pipeline::crawl(config, pop, scan_report));
+  }();
+  return result;
+}
+
+/// measured / (paper * 0.05) must lie in [lo, hi].
+void expect_scaled_ratio(const char* row, std::size_t measured,
+                         std::int64_t paper, double lo, double hi) {
+  const double ratio =
+      static_cast<double>(measured) / (static_cast<double>(paper) * 0.05);
+  EXPECT_GE(ratio, lo) << row << ": measured " << measured;
+  EXPECT_LE(ratio, hi) << row << ": measured " << measured;
+}
+
+TEST(PaperRowsTest, SecIvExclusionFunnelNearPaper) {
+  const auto& result = content_at_scale005();
+  const auto& paper = population::paper();
+  expect_scaled_ratio("excluded <20 words", result.excluded_short,
+                      paper.excluded_short, 0.85, 1.25);
+  expect_scaled_ratio("SSH banners", result.excluded_ssh_banner,
+                      paper.excluded_ssh_banners, 0.85, 1.2);
+  expect_scaled_ratio("443 duplicates", result.excluded_dup443,
+                      paper.excluded_dup443, 0.75, 1.2);
+  // 73 error pages scale to 3.65: a handful either way.
+  expect_scaled_ratio("error pages", result.excluded_error,
+                      paper.excluded_error_pages, 0.25, 2.0);
+  expect_scaled_ratio("TorHost default pages", result.torhost_default,
+                      paper.torhost_default_pages, 0.6, 1.2);
+}
+
+TEST(PaperRowsTest, InTextLanguageSplitNearPaper) {
+  const auto shares = content_at_scale005().language_shares();
+  // Paper: 84% English over 17 languages.
+  EXPECT_NEAR(shares[0], population::paper().english_share, 0.09);
+  // Total variation distance from the paper's per-language split.
+  const auto& paper_shares = content::paper_language_shares();
+  double distance = 0.0;
+  for (std::size_t i = 0; i < shares.size(); ++i)
+    distance += std::abs(shares[i] - paper_shares[i]) / 2.0;
+  EXPECT_LE(distance, 0.10);
 }
 
 }  // namespace

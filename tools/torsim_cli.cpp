@@ -399,9 +399,13 @@ int cmd_report(const Options& opt) {
   char line[256];
   const auto row = [&](const std::string& label, double measured,
                        double paper_val) {
-    std::snprintf(line, sizeof line, "| %s | %.0f | %.0f | %.2f |\n",
-                  label.c_str(), measured, paper_val * s,
-                  paper_val * s != 0 ? measured / (paper_val * s) : 0.0);
+    const double scaled = paper_val * s;
+    // A zero scaled paper value has no ratio ("n/a", never "0.00").
+    char ratio[32] = "n/a";
+    if (scaled != 0)
+      std::snprintf(ratio, sizeof ratio, "%.2f", measured / scaled);
+    std::snprintf(line, sizeof line, "| %s | %.0f | %.0f | %s |\n",
+                  label.c_str(), measured, scaled, ratio);
     out += line;
   };
   std::snprintf(line, sizeof line,
