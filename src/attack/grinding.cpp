@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "util/strings.hpp"
+#include "crypto/grind.hpp"
 
 namespace torsim::attack {
 
@@ -13,29 +13,19 @@ std::optional<GrindResult> grind_key_after(const crypto::Sha1Digest& target,
   const double ring_size = std::ldexp(1.0, 160);
   const double max_distance = max_ring_fraction * ring_size;
   const crypto::U160 target_value(target);
-  for (std::uint64_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    crypto::KeyPair key = crypto::KeyPair::generate(rng);
-    const crypto::U160 fp(key.fingerprint());
-    if (fp == target_value) continue;  // need strictly after
-    const double distance =
-        fp.ring_distance_from(target_value).to_double();
-    if (distance <= max_distance)
-      return GrindResult{std::move(key), attempt, distance};
-  }
-  return std::nullopt;
-}
-
-std::optional<GrindResult> grind_onion_prefix(std::string_view prefix,
-                                              util::Rng& rng,
-                                              std::uint64_t max_attempts) {
-  for (std::uint64_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    crypto::KeyPair key = crypto::KeyPair::generate(rng);
-    const auto onion = crypto::onion_address(
-        crypto::permanent_id_from_fingerprint(key.fingerprint()));
-    if (util::starts_with(onion, prefix))
-      return GrindResult{std::move(key), attempt, 0.0};
-  }
-  return std::nullopt;
+  const auto distance_to = [&](const crypto::U160& fp) {
+    return fp.ring_distance_from(target_value).to_double();
+  };
+  auto ground = crypto::grind_key(
+      rng, max_attempts, [&](const crypto::Sha1Digest& fingerprint) {
+        const crypto::U160 fp(fingerprint);
+        if (fp == target_value) return false;  // need strictly after
+        return distance_to(fp) <= max_distance;
+      });
+  if (!ground) return std::nullopt;
+  const double distance =
+      distance_to(crypto::U160(ground->key.fingerprint()));
+  return GrindResult{std::move(ground->key), ground->attempts, distance};
 }
 
 }  // namespace torsim::attack

@@ -2,7 +2,9 @@
 // lands in a chosen arc of the 160-bit HSDir ring. This is how real
 // trackers positioned relays immediately after Silk Road's descriptor
 // IDs (the Sec. VII detector's "distance ratio" rule keys on exactly
-// the unnaturally small distances this produces).
+// the unnaturally small distances this produces). The key loop itself
+// is crypto::grind_key (crypto/grind.hpp); this file only supplies the
+// ring-arc test.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +31,5 @@ struct GrindResult {
 std::optional<GrindResult> grind_key_after(
     const crypto::Sha1Digest& target, double max_ring_fraction,
     util::Rng& rng, std::uint64_t max_attempts = 2'000'000);
-
-/// Grinds a key whose *onion address* starts with `prefix` (base32).
-/// Cost grows 32^len; practical for <= 4 characters.
-std::optional<GrindResult> grind_onion_prefix(
-    std::string_view prefix, util::Rng& rng,
-    std::uint64_t max_attempts = 50'000'000);
 
 }  // namespace torsim::attack

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 namespace torsim::crypto {
 
@@ -19,10 +20,14 @@ constexpr std::array<std::uint32_t, 5> kSha1Iv = {
 // The per-round dependency chain runs down each column independently,
 // so the inner lane loops vectorize; the four round regimes are split
 // into separate loops to keep the f/k selection out of the lane loop.
+// `Width` is std::size_t for a runtime lane count, or an
+// std::integral_constant for full groups, whose fixed trip counts let
+// the compiler unroll the lane loops into whole-register operations.
 // detlint: hot
-void compress_lanes(std::uint32_t h[5][kSha1Lanes],
-                    const std::uint8_t* const blocks[kSha1Lanes],
-                    std::size_t lanes) {
+template <typename Width>
+void compress_lanes_at(std::uint32_t h[5][kSha1Lanes],
+                       const std::uint8_t* const blocks[kSha1Lanes],
+                       Width lanes) {
   std::uint32_t w[80][kSha1Lanes];
   for (int t = 0; t < 16; ++t) {
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -78,6 +83,22 @@ void compress_lanes(std::uint32_t h[5][kSha1Lanes],
     h[3][l] += d[l];
     h[4][l] += e[l];
   }
+}
+
+// Full groups (the grinder's batches, the dictionary's combine digests)
+// run at compile-time width. Partial groups and absorb()'s single lane
+// keep the runtime loop: forced to full width they do 8 lanes' work for
+// 1 or 2, and a 2-lane descriptor_ids_for_period call measured ~1.3x
+// slower (docs/performance.md).
+// detlint: hot
+void compress_lanes(std::uint32_t h[5][kSha1Lanes],
+                    const std::uint8_t* const blocks[kSha1Lanes],
+                    std::size_t lanes) {
+  if (lanes == kSha1Lanes)
+    compress_lanes_at(h, blocks,
+                      std::integral_constant<std::size_t, kSha1Lanes>{});
+  else
+    compress_lanes_at(h, blocks, lanes);
 }
 
 // Materializes block `block_index` of one lane's post-midstate stream:

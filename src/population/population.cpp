@@ -7,7 +7,7 @@
 
 #include "content/corpus.hpp"
 #include "content/html.hpp"
-#include "util/strings.hpp"
+#include "crypto/grind.hpp"
 
 namespace torsim::population {
 namespace {
@@ -363,20 +363,21 @@ Population Population::generate(const PopulationConfig& config) {
 
   // "silkroa"-prefixed phishing/copycat addresses: the paper found 15.
   // Grinding a full 7-character prefix is ~2^35 hashes; we grind a
-  // 3-character "sil" prefix (~2^15) to exercise the same key-grinding
-  // machinery (documented substitution).
+  // 3-character "sil" prefix (~2^15 keys each, ~450k at scale 1.0) with
+  // the same grinder the attacks use (documented substitution). It
+  // hashes candidates in SHA-1 lanes but draws exactly the keys one
+  // KeyPair::generate per try would, so the population's bytes do not
+  // depend on the batching (tests/grind_diff_test.cpp).
   {
     const int phishing = static_cast<int>(
         std::max<std::int64_t>(1, std::llround(15 * s)));
     for (int i = 0; i < phishing; ++i) {
-      crypto::KeyPair key = crypto::KeyPair::generate(rng);
-      while (true) {
-        const auto onion = crypto::onion_address(
-            crypto::permanent_id_from_fingerprint(key.fingerprint()));
-        if (util::starts_with(onion, "sil")) break;
-        key = crypto::KeyPair::generate(rng);
-      }
-      MutableRef svc = add_service(ServiceClass::kWebSite, std::move(key));
+      auto ground = crypto::grind_onion_prefix("sil", rng);
+      if (!ground)
+        throw std::runtime_error(
+            "Population::generate: no \"sil\" onion within the grind budget");
+      MutableRef svc =
+          add_service(ServiceClass::kWebSite, std::move(ground->key));
       svc.set_label("SilkroadPhishing");
       svc.set_topic(content::Topic::kCounterfeit);
       svc.set_language(content::Language::kEnglish);

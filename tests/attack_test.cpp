@@ -6,7 +6,6 @@
 #include "attack/grinding.hpp"
 #include "attack/harvester.hpp"
 #include "attack/signature.hpp"
-#include "util/strings.hpp"
 
 namespace torsim::attack {
 namespace {
@@ -99,15 +98,6 @@ TEST(GrindingTest, GivesUpAfterMaxAttempts) {
   util::Rng rng(6);
   crypto::Sha1Digest target{};
   EXPECT_FALSE(grind_key_after(target, 1e-12, rng, 100).has_value());
-}
-
-TEST(GrindingTest, OnionPrefixGrinding) {
-  util::Rng rng(7);
-  const auto result = grind_onion_prefix("ab", rng, 1000000);
-  ASSERT_TRUE(result.has_value());
-  const auto onion = crypto::onion_address(
-      crypto::permanent_id_from_fingerprint(result->key.fingerprint()));
-  EXPECT_TRUE(util::starts_with(onion, "ab")) << onion;
 }
 
 // ---------------------------------------------------------------------

@@ -6,9 +6,11 @@
 #include <string>
 
 #include "crypto/digest.hpp"
+#include "crypto/grind.hpp"
 #include "crypto/keypair.hpp"
 #include "crypto/sha1.hpp"
 #include "util/encoding.hpp"
+#include "util/strings.hpp"
 
 namespace torsim::crypto {
 namespace {
@@ -165,6 +167,46 @@ TEST(KeyPairTest, FromPublicBytesRoundTrip) {
 TEST(KeyPairTest, FingerprintHexIs40Chars) {
   util::Rng rng(103);
   EXPECT_EQ(KeyPair::generate(rng).fingerprint_hex().size(), 40u);
+}
+
+// ---------------------------------------------------------------------
+// Key grinding (the scalar-loop differential is grind_diff_test.cpp)
+// ---------------------------------------------------------------------
+
+TEST(GrindTest, OnionPrefixGrinding) {
+  util::Rng rng(7);
+  const auto result = grind_onion_prefix("ab", rng, 1000000);
+  ASSERT_TRUE(result.has_value());
+  const auto onion = onion_address(
+      permanent_id_from_fingerprint(result->key.fingerprint()));
+  EXPECT_TRUE(util::starts_with(onion, "ab")) << onion;
+}
+
+TEST(GrindTest, PrefixNoOnionCanStartWithThrows) {
+  // onion_address is 16 lowercase base32 characters, [a-z2-7]. Each of
+  // these prefixes can never match; grinding one used to burn the whole
+  // 50M-key default budget before returning nullopt.
+  const std::string impossible[] = {
+      "A", "0", "1", "8", "9", "Sil", "si.", "sil ",
+      "silkroadsilkroad7",  // 17 characters
+      std::string(40, 'a')};
+  for (const std::string& prefix : impossible) {
+    util::Rng rng(8);
+    util::Rng untouched = rng;
+    EXPECT_THROW(grind_onion_prefix(prefix, rng), std::invalid_argument)
+        << "'" << prefix << "'";
+    EXPECT_EQ(rng.next(), untouched.next()) << "drew keys for " << prefix;
+  }
+}
+
+TEST(GrindTest, SixteenCharacterPrefixIsValid) {
+  // The longest prefix an address can have is the address itself: it
+  // grinds (and here exhausts its budget) instead of throwing.
+  util::Rng rng(9);
+  util::Rng expected = rng;
+  EXPECT_FALSE(grind_onion_prefix("zz234567abcdefgh", rng, 9).has_value());
+  for (int i = 0; i < 9; ++i) KeyPair::generate(expected);
+  EXPECT_EQ(rng.next(), expected.next());
 }
 
 // ---------------------------------------------------------------------

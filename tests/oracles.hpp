@@ -19,6 +19,10 @@
 //   * paper_chain — the paper's scan → crawl → classify → resolve →
 //     botnet chain with torbench/harness/pipeline.cpp's literal configs
 //     and seeds (vs src/pipeline, which derives them from one Config).
+//   * grind_onion_prefix_scalar / grind_key_after_scalar — the key
+//     grinders as one KeyPair::generate, one scalar SHA-1 and (for the
+//     prefix) one onion string per try (vs crypto::grind_key, which
+//     hashes kSha1Lanes candidates at a time and rewinds the Rng).
 #pragma once
 
 #include <algorithm>
@@ -26,13 +30,18 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "attack/grinding.hpp"
 #include "content/pipeline.hpp"
 #include "crypto/digest.hpp"
+#include "crypto/grind.hpp"
+#include "crypto/keypair.hpp"
 #include "crypto/sha1.hpp"
 #include "dirauth/consensus.hpp"
 #include "popularity/botnet_inference.hpp"
@@ -45,6 +54,8 @@
 #include "stats/binomial.hpp"
 #include "trackdet/detector.hpp"
 #include "trackdet/history_simulator.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace torsim::oracle {
 
@@ -103,6 +114,40 @@ descriptor_ids_for_period_scalar(const crypto::PermanentId& id,
     out[static_cast<std::size_t>(replica)] = combine.finalize();
   }
   return out;
+}
+
+/// The onion-prefix grinder before the lanes: a fresh KeyPair and its
+/// base32 onion address per try.
+inline std::optional<crypto::GrindResult> grind_onion_prefix_scalar(
+    std::string_view prefix, util::Rng& rng, std::uint64_t max_attempts) {
+  for (std::uint64_t attempt = 1; attempt <= max_attempts; ++attempt) {
+    crypto::KeyPair key = crypto::KeyPair::generate(rng);
+    const auto onion = crypto::onion_address(
+        crypto::permanent_id_from_fingerprint(key.fingerprint()));
+    if (util::starts_with(onion, prefix))
+      return crypto::GrindResult{std::move(key), attempt};
+  }
+  return std::nullopt;
+}
+
+/// The ring-arc grinder before the lanes: a fresh KeyPair per try until
+/// its fingerprint lands in (target, target + fraction of the ring].
+inline std::optional<attack::GrindResult> grind_key_after_scalar(
+    const crypto::Sha1Digest& target, double max_ring_fraction,
+    util::Rng& rng, std::uint64_t max_attempts) {
+  const double ring_size = std::ldexp(1.0, 160);
+  const double max_distance = max_ring_fraction * ring_size;
+  const crypto::U160 target_value(target);
+  for (std::uint64_t attempt = 1; attempt <= max_attempts; ++attempt) {
+    crypto::KeyPair key = crypto::KeyPair::generate(rng);
+    const crypto::U160 fp(key.fingerprint());
+    if (fp == target_value) continue;  // need strictly after
+    const double distance =
+        fp.ring_distance_from(target_value).to_double();
+    if (distance <= max_distance)
+      return attack::GrindResult{std::move(key), attempt, distance};
+  }
+  return std::nullopt;
 }
 
 namespace detail {

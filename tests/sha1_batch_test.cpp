@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "crypto/digest.hpp"
+#include "crypto/keypair.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha1_batch.hpp"
 #include "oracles.hpp"
@@ -194,6 +195,43 @@ TEST(Sha1BatchTest, RandomizedMidstateSchedulesMatchScalar) {
       EXPECT_EQ(got[i], scalar_sha1(prefix, suffixes[i]))
           << "trial " << trial << " suffix " << i;
   }
+}
+
+// Full groups of exactly kSha1Lanes messages run the compile-time-width
+// kernel; any other group size runs the runtime-width loop. These pin
+// both by shape against scalar crypto::sha1, each over fresh random
+// messages per trial.
+void expect_equal_length_batches_match_sha1(std::uint64_t seed,
+                                            std::size_t count,
+                                            std::size_t length) {
+  util::Rng rng(seed);
+  for (int trial = 0; trial < 64; ++trial) {
+    std::vector<Bytes> messages;
+    for (std::size_t i = 0; i < count; ++i)
+      messages.push_back(random_bytes(rng, length));
+    const std::vector<Sha1Digest> got = sha1_batch(as_spans(messages));
+    ASSERT_EQ(got.size(), count);
+    for (std::size_t i = 0; i < count; ++i)
+      EXPECT_EQ(got[i], sha1(std::span<const std::uint8_t>(messages[i])))
+          << count << " x " << length << " bytes, trial " << trial
+          << " lane " << i;
+  }
+}
+
+TEST(Sha1BatchTest, FullWidthKeyShapeMatchesScalar) {
+  // The key grinder's batches: kSha1Lanes 140-byte keys, 3 blocks each.
+  expect_equal_length_batches_match_sha1(409, kSha1Lanes, kPublicKeyBytes);
+}
+
+TEST(Sha1BatchTest, FullWidthCombineShapeMatchesScalar) {
+  // The descriptor-id combine: permanent-id (10) || secret (20), 1 block.
+  expect_equal_length_batches_match_sha1(410, kSha1Lanes, 30);
+}
+
+TEST(Sha1BatchTest, PartialGroupKeyShapeMatchesScalar) {
+  // One lane short of full width stays on the runtime-width loop.
+  expect_equal_length_batches_match_sha1(411, kSha1Lanes - 1,
+                                         kPublicKeyBytes);
 }
 
 TEST(Sha1BatchTest, DeriveIdsLaneWiringMatchesScalarOracle) {
