@@ -44,7 +44,7 @@ std::string onion_address(const PermanentId& id);
 
 /// Onion address of the service whose serialized public key is
 /// `public_key`: base32(SHA1(key)[0:10]). Reads the bytes in place, so
-/// a caller holding key bytes (a descriptor, a store's arena) needs no
+/// a caller holding key bytes (a descriptor, an hsdir key table) needs no
 /// KeyPair copy. Throws std::invalid_argument on an empty key, as
 /// KeyPair::from_public_bytes does.
 std::string onion_address_from_public_key(

@@ -1,28 +1,13 @@
 #include "dirauth/consensus.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 namespace torsim::dirauth {
 
-namespace {
-
-// Monotone identity stamps (see Consensus::generation). The counter is
-// process-wide and ordering-dependent, which is fine: generations are
-// compared for equality only and never appear in any output.
-std::uint64_t next_generation() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace
-
 Consensus::Consensus(util::UnixTime valid_after,
                      std::vector<ConsensusEntry> entries)
-    : valid_after_(valid_after),
-      entries_(std::move(entries)),
-      generation_(next_generation()) {
+    : valid_after_(valid_after), entries_(std::move(entries)) {
   std::sort(entries_.begin(), entries_.end(),
             [](const ConsensusEntry& a, const ConsensusEntry& b) {
               return a.fingerprint < b.fingerprint;
@@ -44,55 +29,6 @@ void Consensus::build_ring_index() {
     handles.push_back(static_cast<std::uint32_t>(idx));
   }
   ring_index_ = RingIndex(std::move(ring), std::move(handles));
-}
-
-Consensus::Consensus(const Consensus& other)
-    : valid_after_(other.valid_after_),
-      entries_(other.entries_),
-      hsdir_indices_(other.hsdir_indices_),
-      fast_indices_(other.fast_indices_),
-      ring_index_(other.ring_index_),
-      generation_(other.entries_.empty() ? 0 : next_generation()) {}
-
-Consensus& Consensus::operator=(const Consensus& other) {
-  if (this == &other) return *this;
-  valid_after_ = other.valid_after_;
-  entries_ = other.entries_;
-  hsdir_indices_ = other.hsdir_indices_;
-  fast_indices_ = other.fast_indices_;
-  ring_index_ = other.ring_index_;
-  generation_ = entries_.empty() ? 0 : next_generation();
-  return *this;
-}
-
-Consensus::Consensus(Consensus&& other) noexcept
-    : valid_after_(other.valid_after_),
-      entries_(std::move(other.entries_)),
-      hsdir_indices_(std::move(other.hsdir_indices_)),
-      fast_indices_(std::move(other.fast_indices_)),
-      ring_index_(std::move(other.ring_index_)),
-      generation_(std::exchange(other.generation_, 0)) {
-  other.valid_after_ = 0;
-  other.entries_.clear();
-  other.hsdir_indices_.clear();
-  other.fast_indices_.clear();
-  other.ring_index_ = RingIndex{};
-}
-
-Consensus& Consensus::operator=(Consensus&& other) noexcept {
-  if (this == &other) return *this;
-  valid_after_ = other.valid_after_;
-  entries_ = std::move(other.entries_);
-  hsdir_indices_ = std::move(other.hsdir_indices_);
-  fast_indices_ = std::move(other.fast_indices_);
-  ring_index_ = std::move(other.ring_index_);
-  generation_ = std::exchange(other.generation_, 0);
-  other.valid_after_ = 0;
-  other.entries_.clear();
-  other.hsdir_indices_.clear();
-  other.fast_indices_.clear();
-  other.ring_index_ = RingIndex{};
-  return *this;
 }
 
 const ConsensusEntry* Consensus::find(

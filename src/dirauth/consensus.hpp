@@ -46,24 +46,6 @@ class Consensus {
   Consensus() = default;
   Consensus(util::UnixTime valid_after, std::vector<ConsensusEntry> entries);
 
-  // Generation semantics (see generation() below): a copy owns a fresh
-  // entries buffer, so it gets a fresh stamp; a move steals the buffer,
-  // so it keeps the stamp and the source decays to the empty 0.
-  Consensus(const Consensus& other);
-  Consensus& operator=(const Consensus& other);
-  Consensus(Consensus&& other) noexcept;
-  Consensus& operator=(Consensus&& other) noexcept;
-
-  /// Identity stamp: two Consensus objects share a generation only
-  /// when they share the same entries() storage, so entry pointers
-  /// taken under one generation stay valid exactly as long as this
-  /// consensus (or a move-destination of it) is alive. DescriptorStore
-  /// compacts its arena when the publishing generation moves on. The
-  /// stamp comes from a process-wide counter, so its *value* depends on
-  /// construction order; it is only ever compared for equality and
-  /// never emitted. 0 = the empty default consensus.
-  std::uint64_t generation() const { return generation_; }
-
   util::UnixTime valid_after() const { return valid_after_; }
 
   /// All entries, sorted ascending by fingerprint (the HSDir ring order).
@@ -125,7 +107,6 @@ class Consensus {
   std::vector<std::size_t> hsdir_indices_;    // ring order
   std::vector<std::size_t> fast_indices_;     // entries() order
   RingIndex ring_index_;                      // eytzinger over the ring
-  std::uint64_t generation_ = 0;              // 0 = empty default
 };
 
 }  // namespace torsim::dirauth

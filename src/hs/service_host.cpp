@@ -95,7 +95,7 @@ std::vector<relay::RelayId> ServiceHost::maybe_publish(
       responsible_relays.push_back(set.dirs[i]->relay);
     }
   }
-  const auto receivers = dirnet.publish(consensus, descriptors, responsible);
+  const auto receivers = dirnet.publish(descriptors, responsible);
 
   // Typed outcome: directories the upload never reached despite the
   // network's bounded retries (receivers is deduplicated, so compare

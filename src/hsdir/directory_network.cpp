@@ -7,20 +7,34 @@
 
 namespace torsim::hsdir {
 
+DescriptorStore& DirectoryNetwork::store_for(relay::RelayId id) {
+  if (id == relay::kInvalidRelayId)
+    throw std::out_of_range("DirectoryNetwork::store_for: invalid relay id");
+  while (stores_.size() <= id) stores_.emplace_back(keys_);
+  return stores_[id];
+}
+
 std::vector<relay::RelayId> DirectoryNetwork::publish(
-    const dirauth::Consensus& consensus,
     std::span<const Descriptor> descriptors,
     std::span<const dirauth::ResponsibleSet> responsible) {
   if (responsible.size() != descriptors.size())
     throw std::invalid_argument(
         "DirectoryNetwork::publish: one responsible set per descriptor");
+  for (const Descriptor& d : descriptors)
+    if (d.introduction_points.size() > kMaxIntroPoints)
+      throw std::invalid_argument(
+          "DirectoryNetwork::publish: more than kMaxIntroPoints "
+          "introduction points");
   std::vector<relay::RelayId> receivers;
   std::int64_t stored = 0;
   for (std::size_t i = 0; i < descriptors.size(); ++i) {
+    const Descriptor& d = descriptors[i];
+    const KeyTable::Handle key = keys_.intern(d.service_public_key);
     const std::uint64_t descriptor_key = fault::FaultInjector::key_of(
-        descriptors[i].descriptor_id.data(), descriptors[i].descriptor_id.size());
+        d.descriptor_id.data(), d.descriptor_id.size());
     for (std::uint8_t k = 0; k < responsible[i].count; ++k) {
       const dirauth::ConsensusEntry* e = responsible[i].dirs[k];
+      util::UnixTime visible_after = d.visible_after;
       if (injector_ != nullptr && injector_->enabled()) {
         // Bounded per-directory retry: an upload lost in transit is
         // re-sent up to max_attempts times; a directory that drops all
@@ -40,24 +54,13 @@ std::vector<relay::RelayId> DirectoryNetwork::publish(
                                   descriptor_key, e->relay, max_attempts});
           continue;
         }
-        Descriptor copy = descriptors[i];
         if (injector_->publish_delayed(descriptor_key, e->relay)) {
-          copy.visible_after = copy.published + injector_->plan().publish_delay;
+          visible_after = d.published + injector_->plan().publish_delay;
           failure_log_.push_back({fault::FailureKind::kPublishDelayed,
                                   descriptor_key, e->relay, attempt});
         }
-        DescriptorStore& target = store_for(e->relay);
-        target.observe_epoch(consensus.generation());
-        target.store(copy);
-        receivers.push_back(e->relay);
-        ++stored;
-        continue;
       }
-      // Each touched store learns the publish round's consensus
-      // generation — its cue to compact dead arena spans (store.hpp).
-      DescriptorStore& target = store_for(e->relay);
-      target.observe_epoch(consensus.generation());
-      target.store(descriptors[i]);
+      store_for(e->relay).store(d, key, visible_after);
       receivers.push_back(e->relay);
       ++stored;
     }
@@ -106,7 +109,8 @@ std::optional<Descriptor> DirectoryNetwork::fetch_from(
     }
     if (trace != nullptr) ++trace->dirs_tried;
     hsdir_relay = e->relay;
-    auto result = store_for(e->relay).fetch(id, now);
+    DescriptorStore* store = find_store(e->relay);
+    auto result = store != nullptr ? store->fetch(id, now) : std::nullopt;
     if (result) {
       if (config_.metrics != nullptr)
         config_.metrics->counter("hsdir.fetch_hits").inc();
@@ -119,7 +123,13 @@ std::optional<Descriptor> DirectoryNetwork::fetch_from(
 }
 
 void DirectoryNetwork::expire_all(util::UnixTime now) {
-  for (auto& [id, store] : stores_) store.expire(now);
+  for (DescriptorStore& store : stores_) store.expire(now);
+}
+
+std::size_t DirectoryNetwork::descriptors_stored() const {
+  std::size_t total = 0;
+  for (const DescriptorStore& store : stores_) total += store.size();
+  return total;
 }
 
 }  // namespace torsim::hsdir

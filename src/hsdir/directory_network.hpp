@@ -1,10 +1,11 @@
-// The distributed descriptor directory: one DescriptorStore per relay
-// that currently carries (or ever carried) the HSDir flag, addressed by
-// simulator relay id. Publish/fetch route via the consensus ring.
+// The distributed descriptor directory: one DescriptorStore per relay,
+// in a vector indexed by simulator relay id (ids are dense, see
+// relay::Registry::create), and one KeyTable all stores share.
+// Publish/fetch route via the consensus ring.
 #pragma once
 
-#include <map>
 #include <span>
+#include <vector>
 
 #include "dirauth/consensus.hpp"
 #include "fault/injector.hpp"
@@ -33,13 +34,22 @@ class DirectoryNetwork {
   DirectoryNetwork() = default;
   explicit DirectoryNetwork(DirectoryNetworkConfig config)
       : config_(config) {}
+  // The stores point at keys_.
+  DirectoryNetwork(const DirectoryNetwork&) = delete;
+  DirectoryNetwork& operator=(const DirectoryNetwork&) = delete;
 
-  /// The store operated by relay `id` (created on first use).
-  DescriptorStore& store_for(relay::RelayId id) { return stores_[id]; }
+  /// The store operated by relay `id` (created on first use). Throws
+  /// std::out_of_range for relay::kInvalidRelayId.
+  DescriptorStore& store_for(relay::RelayId id);
 
+  /// The store operated by relay `id` (empty if it never received a
+  /// descriptor), or nullptr when store_for never reached `id`. Never
+  /// creates a store.
   const DescriptorStore* find_store(relay::RelayId id) const {
-    const auto it = stores_.find(id);
-    return it == stores_.end() ? nullptr : &it->second;
+    return id < stores_.size() ? &stores_[id] : nullptr;
+  }
+  DescriptorStore* find_store(relay::RelayId id) {
+    return id < stores_.size() ? &stores_[id] : nullptr;
   }
 
   /// Installs (or clears) the fault injector consulted by publish and
@@ -50,12 +60,14 @@ class DirectoryNetwork {
   }
   const fault::FaultInjector* fault_injector() const { return injector_; }
 
-  /// Publishes one service's replicas under `consensus`:
-  /// descriptors[i] goes to the directories of responsible[i], the
-  /// responsible set of its descriptor id that the caller already
-  /// walked under the same consensus (hs::ServiceHost needs that walk
-  /// anyway to decide whether to republish). Throws
-  /// std::invalid_argument when the two spans differ in length.
+  /// Publishes one service's replicas: descriptors[i] goes to the
+  /// directories of responsible[i], the responsible set of its
+  /// descriptor id that the caller already walked under the current
+  /// consensus (hs::ServiceHost needs that walk anyway to decide
+  /// whether to republish). Each descriptor's key is interned once,
+  /// whatever the number of directories. Throws std::invalid_argument,
+  /// storing nothing, when the two spans differ in length or a
+  /// descriptor has more than kMaxIntroPoints introduction points.
   /// Returns the relay ids that received a copy (with duplicates
   /// removed). Under an active fault plan, each per-directory upload
   /// is retried (bounded, exponential backoff) when lost; uploads still
@@ -63,7 +75,6 @@ class DirectoryNetwork {
   /// kPublishLost, and delayed uploads are stored but only fetchable
   /// after the delay.
   std::vector<relay::RelayId> publish(
-      const dirauth::Consensus& consensus,
       std::span<const Descriptor> descriptors,
       std::span<const dirauth::ResponsibleSet> responsible);
 
@@ -81,23 +92,17 @@ class DirectoryNetwork {
   /// Runs expiry on every store.
   void expire_all(util::UnixTime now);
 
+  /// Descriptors held across all stores.
+  std::size_t descriptors_stored() const;
+
   /// Typed failures observed by publish/fetch since the last clear.
   const fault::FailureLog& failure_log() const { return failure_log_; }
   void clear_failure_log() { failure_log_.clear(); }
 
-  /// Access to every store (harvester reads its own relays' stores).
-  /// Ordered by relay id: callers iterate this, and iteration order
-  /// must not depend on hash layout.
-  const std::map<relay::RelayId, DescriptorStore>& stores() const {
-    return stores_;
-  }
-  std::map<relay::RelayId, DescriptorStore>& stores() {
-    return stores_;
-  }
-
  private:
   DirectoryNetworkConfig config_;
-  std::map<relay::RelayId, DescriptorStore> stores_;
+  KeyTable keys_;
+  std::vector<DescriptorStore> stores_;  ///< indexed by relay id
   const fault::FaultInjector* injector_ = nullptr;
   fault::FailureLog failure_log_;
 };

@@ -2,23 +2,22 @@
 // an attacker-controlled HSDir keeps (the data source for the paper's
 // popularity measurement, Sec. V).
 //
-// Storage layout (ROADMAP item 3, docs/data-layout.md): the map holds
-// fixed-size StoredDescriptor metadata; the variable-length payloads
-// (service public key, introduction-point list) live in a per-store
-// util::ByteArena addressed by offset. Re-publishing a descriptor
-// appends fresh payload bytes and orphans the old span; the arena is
-// compacted when a new consensus generation is observed and the dead
-// share has grown past the live bytes (see observe_epoch()).
+// Storage layout (docs/data-layout.md): a store is a vector of
+// fixed-size records sorted by descriptor id. A record carries its
+// introduction points inline (at most kMaxIntroPoints) and its service
+// public key as a handle into a KeyTable that the whole
+// DirectoryNetwork shares, so a key is held once however many
+// directories and replicas carry it. Nothing is allocated per record.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "hsdir/descriptor.hpp"
-#include "util/arena.hpp"
+#include "util/interner.hpp"
 
 namespace torsim::hsdir {
 
@@ -33,24 +32,62 @@ struct FetchRecord {
 /// the previous period erase descriptors once they rotate out.
 inline constexpr util::Seconds kDescriptorLifetime = 24 * util::kSecondsPerHour;
 
+/// The most introduction points a stored descriptor carries — the
+/// number hs::ServiceHost::maybe_publish picks.
+inline constexpr std::size_t kMaxIntroPoints = 3;
+
+/// Service public keys, each held once. A DirectoryNetwork owns one
+/// table for all its stores; keys are never freed, so a table grows
+/// with the number of distinct services ever published. Interning
+/// compares full key bytes, so two keys never share a handle.
+class KeyTable {
+ public:
+  using Handle = util::StringInterner::Id;
+
+  /// The handle for `key`, inserting it on first sight.
+  Handle intern(std::span<const std::uint8_t> key) {
+    return keys_.intern(std::string_view(
+        reinterpret_cast<const char*>(key.data()), key.size()));
+  }
+
+  /// The key bytes behind `handle`; valid for the table's lifetime.
+  std::span<const std::uint8_t> bytes(Handle handle) const {
+    const std::string_view key = keys_.view(handle);
+    return {reinterpret_cast<const std::uint8_t*>(key.data()), key.size()};
+  }
+
+  /// Number of distinct keys held.
+  std::size_t size() const { return keys_.size(); }
+
+ private:
+  util::StringInterner keys_;
+};
+
 /// A held descriptor as DescriptorStore::for_each_descriptor shows it:
-/// the key bytes are read in place from the store's payload arena and
-/// are valid only for the duration of the visit.
+/// the key bytes are read in place from the key table.
 struct DescriptorView {
   const crypto::DescriptorId& descriptor_id;
   util::UnixTime published = 0;
   std::span<const std::uint8_t> service_public_key;
 };
 
+class DirectoryNetwork;
+
 class DescriptorStore {
  public:
-  /// Stores (or refreshes) a descriptor.
-  void store(const Descriptor& descriptor);
+  /// A store whose keys live in `keys`, which must outlive it.
+  explicit DescriptorStore(KeyTable& keys) : keys_(&keys) {}
+
+  /// Stores (or refreshes) a descriptor. Throws std::invalid_argument,
+  /// leaving the store unchanged, when it carries more than
+  /// kMaxIntroPoints introduction points.
+  void store(const Descriptor& descriptor) {
+    store(descriptor, keys_->intern(descriptor.service_public_key),
+          descriptor.visible_after);
+  }
 
   /// Looks a descriptor up by id, honouring expiry at time `now`.
   /// If logging is enabled the request is recorded either way.
-  /// The returned Descriptor owns its payloads (copied out of the
-  /// arena) — callers never hold arena pointers across a compaction.
   std::optional<Descriptor> fetch(const crypto::DescriptorId& id,
                                   util::UnixTime now);
 
@@ -62,23 +99,10 @@ class DescriptorStore {
 
   /// Drops descriptors published more than kDescriptorLifetime before
   /// `now` (the paper: directories "erase its descriptor from memory"
-  /// after the responsibility period). Payload bytes become dead arena
-  /// space, reclaimed at the next compacting epoch observation. Returns
-  /// without walking the store while its oldest `published` time is
-  /// still within the lifetime.
+  /// after the responsibility period). Returns without walking the
+  /// store while its oldest `published` time is still within the
+  /// lifetime.
   void expire(util::UnixTime now);
-
-  /// Tells the store which consensus generation the current publish
-  /// round runs under. On a generation change the store compacts its
-  /// payload arena iff dead bytes exceed live bytes — a deterministic
-  /// byte-count rule, independent of wall clock and call pattern
-  /// within a generation. Generation semantics (copy restamps, move
-  /// transfers and zeroes the source — dirauth/consensus.hpp) make the
-  /// stamp usable only for equality, which is all this needs: any
-  /// *change* is a safe compaction point, and generation 0 (moved-from
-  /// consensus) never reaches here because a gen-0 consensus is empty
-  /// and routes no publishes (pinned by tests/data_layout_test.cpp).
-  void observe_epoch(std::uint64_t generation);
 
   /// Enables request logging (what a measuring/malicious HSDir does).
   void enable_logging(bool enabled) { logging_ = enabled; }
@@ -93,50 +117,47 @@ class DescriptorStore {
   /// store.
   template <typename Visit>
   void for_each_descriptor(Visit&& visit) const {
-    for (const auto& [id, s] : descriptors_)
-      visit(DescriptorView{
-          id, s.published,
-          std::span<const std::uint8_t>(arena_.at(s.key_offset), s.key_size)});
+    for (const Record& r : records_)
+      visit(DescriptorView{r.descriptor_id, r.published,
+                           keys_->bytes(r.key)});
   }
 
-  std::size_t size() const { return descriptors_.size(); }
-
-  /// Arena telemetry for the BENCH JSON "population" section.
-  std::size_t arena_bytes() const { return arena_.bytes_used(); }
-  std::size_t live_payload_bytes() const { return live_payload_bytes_; }
-  std::uint64_t observed_epoch() const { return epoch_; }
-  std::int64_t compactions() const { return compactions_; }
+  std::size_t size() const { return records_.size(); }
 
  private:
-  /// Fixed-size metadata; variable-length payloads are arena spans.
-  struct StoredDescriptor {
+  friend class DirectoryNetwork;
+
+  struct Record {
+    crypto::DescriptorId descriptor_id{};
     crypto::PermanentId permanent_id{};
     std::uint8_t replica = 0;
+    std::uint8_t intro_count = 0;
     std::uint32_t time_period = 0;
+    KeyTable::Handle key = 0;
     util::UnixTime published = 0;
     util::UnixTime visible_after = 0;
-    util::ByteArena::Offset key_offset = 0;
-    std::uint32_t key_size = 0;
-    util::ByteArena::Offset intro_offset = 0;
-    std::uint32_t intro_count = 0;
+    std::array<crypto::Fingerprint, kMaxIntroPoints> introduction_points{};
   };
 
-  std::size_t payload_bytes(const StoredDescriptor& s) const {
-    return s.key_size + s.intro_count * sizeof(crypto::Fingerprint);
-  }
-  Descriptor materialize(const crypto::DescriptorId& id,
-                         const StoredDescriptor& s) const;
-  void compact();
+  /// store() with the key already interned and the directory's own
+  /// visible_after (DirectoryNetwork::publish interns once per
+  /// descriptor and delays per directory).
+  void store(const Descriptor& descriptor, KeyTable::Handle key,
+             util::UnixTime visible_after);
 
-  std::map<crypto::DescriptorId, StoredDescriptor> descriptors_;
+  /// The record for `id`, or nullptr.
+  const Record* find(const crypto::DescriptorId& id) const;
+  static bool visible(const Record& r, util::UnixTime now) {
+    return now - r.published <= kDescriptorLifetime &&
+           now >= r.visible_after;
+  }
+
+  KeyTable* keys_;
+  std::vector<Record> records_;  ///< sorted by descriptor_id
   /// Lower bound on the `published` time of every held descriptor
   /// (exact after each expiry walk; a refresh may leave it low, which
   /// only costs one extra walk). Meaningless while the store is empty.
   util::UnixTime oldest_published_ = 0;
-  util::ByteArena arena_;
-  std::size_t live_payload_bytes_ = 0;
-  std::uint64_t epoch_ = 0;
-  std::int64_t compactions_ = 0;
   std::vector<FetchRecord> fetch_log_;
   bool logging_ = false;
 };

@@ -46,15 +46,6 @@ void bump(obs::Counter* counter, std::int64_t delta = 1) {
   if (counter != nullptr && delta != 0) counter->inc(delta);
 }
 
-std::int64_t descriptors_stored(const sim::World& world) {
-  std::int64_t total = 0;
-  for (const auto& [relay_id, store] : world.directories().stores()) {
-    (void)relay_id;
-    total += static_cast<std::int64_t>(store.size());
-  }
-  return total;
-}
-
 int services_online(const sim::World& world) {
   int online = 0;
   for (std::size_t i = 0; i < world.service_count(); ++i)
@@ -264,7 +255,8 @@ TimelineRow sample_row(const sim::World& world, int hour,
   row.hsdirs = static_cast<int>(world.consensus().hsdir_count());
   row.services_total = static_cast<int>(world.service_count());
   row.services_online = services_online(world);
-  row.descriptors_stored = descriptors_stored(world);
+  row.descriptors_stored =
+      static_cast<std::int64_t>(world.directories().descriptors_stored());
   row.migrated_total = report.services_migrated;
   row.taken_down_total = report.services_taken_down;
   row.flash_ok_total = report.flash_fetches_ok;

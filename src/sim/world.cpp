@@ -183,8 +183,8 @@ NetworkStats World::network_stats() const {
   stats.hsdir_count = static_cast<std::int64_t>(consensus_.hsdir_count());
   for (const auto& service : services_)
     if (service->online()) ++stats.services_online;
-  for (const auto& [relay_id, store] : dirnet_.stores())
-    stats.descriptors_stored += static_cast<std::int64_t>(store.size());
+  stats.descriptors_stored =
+      static_cast<std::int64_t>(dirnet_.descriptors_stored());
   stats.consensus_valid_after = consensus_.valid_after();
   return stats;
 }

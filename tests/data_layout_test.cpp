@@ -1,10 +1,8 @@
-// Pins the data-oriented layout contracts (ROADMAP item 3,
-// docs/data-layout.md): the global string interner's determinism and
-// view stability, the Population facade's exact column reserves,
-// handle (not reference) identity and peak-RSS budget, the hsdir
-// descriptor arena's epoch-gated compaction against
-// Consensus::generation's copy/move semantics, and the interned Fig. 1
-// port labels feeding the scan CSV.
+// Pins the data-oriented layout contracts (docs/data-layout.md): the
+// global string interner's determinism and view stability, the
+// Population facade's exact column reserves, handle (not reference)
+// identity and peak-RSS budget, and the interned Fig. 1 port labels
+// feeding the scan CSV.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,20 +10,16 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "dirauth/authority.hpp"
 #include "hsdir/descriptor.hpp"
 #include "hsdir/store.hpp"
 #include "obs/stopwatch.hpp"
 #include "population/population.hpp"
-#include "relay/registry.hpp"
 #include "scan/port_scanner.hpp"
-#include "util/arena.hpp"
 #include "util/csv.hpp"
 #include "util/interner.hpp"
 #include "util/rng.hpp"
@@ -95,17 +89,6 @@ TEST(StringInternerTest, EmptyStringInternsToEmptyView) {
   EXPECT_NE(word, empty);
   EXPECT_EQ(interner.view(word), "word");
   EXPECT_EQ(interner.size(), 2u);
-}
-
-TEST(ByteArenaTest, ZeroByteAppendReturnsEndOffset) {
-  util::ByteArena arena;
-  EXPECT_EQ(arena.append(nullptr, 0), 0u);
-  const std::uint8_t bytes[3] = {1, 2, 3};
-  EXPECT_EQ(arena.append(bytes, sizeof bytes), 0u);
-  const std::vector<std::uint8_t> none;
-  EXPECT_EQ(arena.append(none.data(), none.size()), 3u);
-  EXPECT_EQ(arena.bytes_used(), 3u);
-  EXPECT_EQ(arena.at(0)[2], 3);
 }
 
 TEST(StringInternerTest, OversizedStringGetsOwnBlock) {
@@ -239,10 +222,10 @@ TEST(PopulationLayoutTest, IdentityIsTheIndexNotAReference) {
 }
 
 // Peak-RSS budget: the paper-seed population at scale 0.05 plus three
-// publish/refresh rounds and a compaction on one DescriptorStore must
-// peak under 16 MiB + 10%. Peak RSS belongs to the whole process, so
-// the test measures only when it is the one test running (ctest runs
-// every test in its own process). Sanitizer runtimes inflate RSS, so
+// publish/refresh rounds on one DescriptorStore must peak under
+// 16 MiB + 10%. Peak RSS belongs to the whole process, so the test
+// measures only when it is the one test running (ctest runs every test
+// in its own process). Sanitizer runtimes inflate RSS, so
 // it skips under ASan and TSan.
 TEST(PopulationLayoutTest, PeakRssUnderBudgetAtScale005) {
 #ifdef TORSIM_TEST_SANITIZED
@@ -263,148 +246,23 @@ TEST(PopulationLayoutTest, PeakRssUnderBudgetAtScale005) {
     for (auto& byte : fp) byte = static_cast<std::uint8_t>(rng.index(256));
   const auto count = static_cast<population::ServiceId>(
       std::min<std::size_t>(pop.size(), 2000));
-  hsdir::DescriptorStore store;
-  store.observe_epoch(1);
-  // One publish and two refreshes of the same ids leave two thirds of
-  // the arena dead, so the next epoch compacts.
-  for (int round = 0; round < 3; ++round)
-    for (population::ServiceId id = 0; id < count; ++id)
-      store.store(hsdir::make_descriptor(pop.service(id).key(), intros, 0,
-                                         kT0));
-  store.observe_epoch(2);
-  EXPECT_EQ(store.compactions(), 1);
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
+  // One publish and two refreshes of the same ids: the refreshes
+  // overwrite records in place and intern no new key.
+  for (int round = 0; round < 3; ++round) {
+    for (population::ServiceId id = 0; id < count; ++id) {
+      auto d = hsdir::make_descriptor(pop.service(id).key(), intros, 0, kT0);
+      d.published += round * util::kSecondsPerHour;
+      store.store(d);
+    }
+  }
+  EXPECT_EQ(store.size(), count);
+  EXPECT_EQ(keys.size(), count);
 
   const std::int64_t peak = obs::peak_rss_bytes();
   RecordProperty("peak_rss_bytes", std::to_string(peak));
   EXPECT_LE(peak, kPeakRssBudgetBytes);
-}
-
-// ---------------------------------------------------------------------
-// Consensus::generation vs the descriptor-arena epoch (satellite:
-// copy-restamp / move-preserve lifetime audit)
-// ---------------------------------------------------------------------
-
-dirauth::Consensus tiny_consensus(std::uint64_t seed) {
-  relay::Registry registry;
-  util::Rng rng(seed);
-  for (int i = 0; i < 12; ++i) {
-    relay::RelayConfig rc;
-    rc.nickname = "r" + std::to_string(i);
-    rc.address = util::Ipv4::random_public(rng);
-    rc.bandwidth_kbps = 100.0;
-    const auto id = registry.create(rc, rng, kT0 - 40 * 3600);
-    registry.get(id).set_online(true, kT0 - 40 * 3600);
-  }
-  dirauth::Authority authority;
-  return authority.build_consensus(registry, kT0);
-}
-
-TEST(GenerationLifetimeTest, CopyRestampsMovePreservesSourceDecaysToZero) {
-  const auto original = tiny_consensus(31);
-  ASSERT_NE(original.generation(), 0u);
-
-  // Copy: fresh entries buffer, fresh stamp.
-  const auto copied = original;
-  EXPECT_NE(copied.generation(), 0u);
-  EXPECT_NE(copied.generation(), original.generation());
-  EXPECT_EQ(copied.size(), original.size());
-
-  // Move: the stamp travels with the storage; the source decays to the
-  // empty generation-0 consensus.
-  auto donor = tiny_consensus(32);
-  const auto donor_generation = donor.generation();
-  const auto moved = std::move(donor);
-  EXPECT_EQ(moved.generation(), donor_generation);
-  EXPECT_EQ(donor.generation(), 0u);  // NOLINT(bugprone-use-after-move)
-  // The gen-0 pin the store's epoch contract leans on: a moved-from
-  // consensus is EMPTY, so it can never route a publish that would
-  // reach observe_epoch(0).
-  EXPECT_EQ(donor.size(), 0u);
-  EXPECT_EQ(donor.hsdir_count(), 0u);
-  EXPECT_EQ(dirauth::Consensus().generation(), 0u);
-}
-
-TEST(GenerationLifetimeTest, ArenaCompactsOnlyWhenDeadExceedsLiveOnNewEpoch) {
-  util::Rng rng(57);
-  hsdir::DescriptorStore store;
-  const auto key = crypto::KeyPair::generate(rng);
-  std::vector<crypto::Fingerprint> intros(3);
-  for (auto& fp : intros)
-    for (auto& byte : fp) byte = static_cast<std::uint8_t>(rng.index(256));
-
-  store.observe_epoch(1);
-  const auto d = hsdir::make_descriptor(key, intros, 0, kT0);
-  store.store(d);
-  const std::size_t live = store.live_payload_bytes();
-  ASSERT_GT(live, 0u);
-  EXPECT_EQ(store.arena_bytes(), live);
-
-  // Refresh under the same generation: dead bytes accumulate, but no
-  // compaction may run mid-generation (fetch results could be copied
-  // out while the publish round is still appending).
-  store.store(hsdir::make_descriptor(key, intros, 0, kT0 + 60));
-  EXPECT_EQ(store.arena_bytes(), 2 * live);
-  store.observe_epoch(1);
-  EXPECT_EQ(store.arena_bytes(), 2 * live);
-  EXPECT_EQ(store.compactions(), 0);
-
-  // New generation with dead == live: the rule is strictly dead > live,
-  // so still no compaction.
-  store.observe_epoch(2);
-  EXPECT_EQ(store.arena_bytes(), 2 * live);
-  EXPECT_EQ(store.compactions(), 0);
-
-  // Another refresh makes dead == 2x live; the next generation change
-  // compacts down to exactly the live bytes.
-  store.store(hsdir::make_descriptor(key, intros, 0, kT0 + 120));
-  EXPECT_EQ(store.arena_bytes(), 3 * live);
-  store.observe_epoch(3);
-  EXPECT_EQ(store.arena_bytes(), live);
-  EXPECT_EQ(store.live_payload_bytes(), live);
-  EXPECT_EQ(store.compactions(), 1);
-  EXPECT_EQ(store.observed_epoch(), 3u);
-
-  // Payloads survive the compaction byte-for-byte, and fetch hands out
-  // owned copies — valid across any later compaction.
-  const auto fetched = store.fetch(d.descriptor_id, kT0 + 180);
-  ASSERT_TRUE(fetched.has_value());
-  EXPECT_EQ(fetched->service_public_key, d.service_public_key);
-  EXPECT_EQ(fetched->introduction_points, d.introduction_points);
-  EXPECT_EQ(fetched->published, kT0 + 120);
-}
-
-TEST(GenerationLifetimeTest, ExpiredPayloadsAreReclaimedAtNextEpoch) {
-  util::Rng rng(58);
-  hsdir::DescriptorStore store;
-  std::vector<crypto::Fingerprint> intros(2);
-  for (auto& fp : intros)
-    for (auto& byte : fp) byte = static_cast<std::uint8_t>(rng.index(256));
-
-  store.observe_epoch(1);
-  const auto old_key = crypto::KeyPair::generate(rng);
-  const auto fresh_key = crypto::KeyPair::generate(rng);
-  store.store(hsdir::make_descriptor(old_key, intros, 0, kT0));
-  const std::size_t one = store.live_payload_bytes();
-  const auto fresh =
-      hsdir::make_descriptor(fresh_key, intros, 0, kT0 + 30 * 3600);
-  store.store(fresh);
-  ASSERT_EQ(store.live_payload_bytes(), 2 * one);
-
-  // Expiry turns the old descriptor's span into dead bytes; the arena
-  // holds both until the next generation observes dead > live.
-  store.expire(kT0 + 25 * 3600);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.live_payload_bytes(), one);
-  EXPECT_EQ(store.arena_bytes(), 2 * one);
-  store.observe_epoch(2);
-  EXPECT_EQ(store.arena_bytes(), 2 * one);  // dead == live: kept
-  store.store(hsdir::make_descriptor(fresh_key, intros, 0, kT0 + 31 * 3600));
-  store.observe_epoch(3);
-  EXPECT_EQ(store.arena_bytes(), one);
-  EXPECT_EQ(store.compactions(), 1);
-  const auto still = store.fetch(fresh.descriptor_id, kT0 + 32 * 3600);
-  ASSERT_TRUE(still.has_value());
-  EXPECT_EQ(still->service_public_key, fresh.service_public_key);
 }
 
 // ---------------------------------------------------------------------

@@ -258,7 +258,8 @@ TEST(FaultInjectorTest, FailureKindNamesAreStable) {
 
 TEST(FaultStoreTest, VisibleAfterGatesFetch) {
   util::Rng rng(31);
-  hsdir::DescriptorStore store;
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
   const auto key = crypto::KeyPair::generate(rng);
   auto d = hsdir::make_descriptor(key, {}, 0, kT0);
   d.visible_after = kT0 + 7200;

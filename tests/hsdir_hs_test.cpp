@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -74,7 +76,8 @@ TEST(DescriptorTest, OnionAddressRecoverableFromDescriptor) {
 
 TEST(DescriptorStoreTest, StoreAndFetch) {
   util::Rng rng(23);
-  hsdir::DescriptorStore store;
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
   const auto key = crypto::KeyPair::generate(rng);
   const auto d = hsdir::make_descriptor(key, {}, 0, kT0);
   store.store(d);
@@ -88,7 +91,8 @@ TEST(DescriptorStoreTest, StoreAndFetch) {
 
 TEST(DescriptorStoreTest, ExpiryAfter24Hours) {
   util::Rng rng(24);
-  hsdir::DescriptorStore store;
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
   const auto key = crypto::KeyPair::generate(rng);
   const auto d = hsdir::make_descriptor(key, {}, 0, kT0);
   store.store(d);
@@ -99,31 +103,30 @@ TEST(DescriptorStoreTest, ExpiryAfter24Hours) {
 }
 
 // What a full expiry walk keeps: every descriptor id whose latest
-// publish lies within the lifetime, with its payload size. The store's
-// early-exit expiry must agree with it on size() and live_payload_bytes().
+// publish lies within the lifetime. The store's early-exit expiry must
+// agree with it on size(), and every held id must still fetch.
 class FullWalkModel {
  public:
   void store(const hsdir::Descriptor& d) {
-    held_[d.descriptor_id] = {
-        d.published, d.service_public_key.size() +
-                         d.introduction_points.size() *
-                             sizeof(crypto::Fingerprint)};
+    held_[d.descriptor_id] = d.published;
   }
   void expire(util::UnixTime now) {
     std::erase_if(held_, [&](const auto& entry) {
-      return now - entry.second.first > hsdir::kDescriptorLifetime;
+      return now - entry.second > hsdir::kDescriptorLifetime;
     });
   }
-  void expect_matches(const hsdir::DescriptorStore& store) const {
-    std::size_t bytes = 0;
-    for (const auto& [id, entry] : held_) bytes += entry.second;
+  void expect_matches(hsdir::DescriptorStore& store,
+                      util::UnixTime now) const {
     EXPECT_EQ(store.size(), held_.size());
-    EXPECT_EQ(store.live_payload_bytes(), bytes);
+    for (const auto& [id, published] : held_) {
+      const auto fetched = store.fetch(id, now);
+      ASSERT_TRUE(fetched.has_value());
+      EXPECT_EQ(fetched->published, published);
+    }
   }
 
  private:
-  std::map<crypto::DescriptorId, std::pair<util::UnixTime, std::size_t>>
-      held_;
+  std::map<crypto::DescriptorId, util::UnixTime> held_;
 };
 
 hsdir::Descriptor published_at(hsdir::Descriptor d, util::UnixTime t) {
@@ -133,7 +136,8 @@ hsdir::Descriptor published_at(hsdir::Descriptor d, util::UnixTime t) {
 
 TEST(DescriptorStoreTest, ExpiryKeepsDescriptorRefreshedWithLaterPublish) {
   util::Rng rng(33);
-  hsdir::DescriptorStore store;
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
   FullWalkModel model;
   const auto d = hsdir::make_descriptor(crypto::KeyPair::generate(rng), {}, 0,
                                         kT0);
@@ -146,32 +150,35 @@ TEST(DescriptorStoreTest, ExpiryKeepsDescriptorRefreshedWithLaterPublish) {
        {kT0 + 25 * 3600, kT0 + 34 * 3600, kT0 + 34 * 3600 + 1}) {
     store.expire(now);
     model.expire(now);
-    model.expect_matches(store);
+    model.expect_matches(store, now);
   }
   EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(DescriptorStoreTest, ExpiryBoundaryIsExactlyTheLifetime) {
   util::Rng rng(34);
-  hsdir::DescriptorStore store;
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
   FullWalkModel model;
   const auto d = hsdir::make_descriptor(crypto::KeyPair::generate(rng), {}, 0,
                                         kT0);
   store.store(d);
   model.store(d);
-  store.expire(kT0 + hsdir::kDescriptorLifetime);
-  model.expire(kT0 + hsdir::kDescriptorLifetime);
-  model.expect_matches(store);
+  const util::UnixTime boundary = kT0 + hsdir::kDescriptorLifetime;
+  store.expire(boundary);
+  model.expire(boundary);
+  model.expect_matches(store, boundary);
   EXPECT_EQ(store.size(), 1u);
-  store.expire(kT0 + hsdir::kDescriptorLifetime + 1);
-  model.expire(kT0 + hsdir::kDescriptorLifetime + 1);
-  model.expect_matches(store);
+  store.expire(boundary + 1);
+  model.expire(boundary + 1);
+  model.expect_matches(store, boundary + 1);
   EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(DescriptorStoreTest, ExpiryAfterStoreEmptiedAndRefilled) {
   util::Rng rng(35);
-  hsdir::DescriptorStore store;
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
   FullWalkModel model;
   std::vector<crypto::Fingerprint> intros(2);
   const auto a = hsdir::make_descriptor(crypto::KeyPair::generate(rng),
@@ -187,7 +194,7 @@ TEST(DescriptorStoreTest, ExpiryAfterStoreEmptiedAndRefilled) {
     }
     store.expire(now);
     model.expire(now);
-    model.expect_matches(store);
+    model.expect_matches(store, now);
   };
   step(&a, kT0 + 25 * 3600);  // stored and expired: the store is empty
   EXPECT_EQ(store.size(), 0u);
@@ -205,7 +212,8 @@ TEST(DescriptorStoreTest, ExpiryAfterStoreEmptiedAndRefilled) {
 
 TEST(DescriptorStoreTest, ExpiryMatchesFullWalkOnRandomSchedule) {
   util::Rng rng(36);
-  hsdir::DescriptorStore store;
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
   FullWalkModel model;
   std::vector<hsdir::Descriptor> pool;
   for (int i = 0; i < 12; ++i) {
@@ -226,13 +234,14 @@ TEST(DescriptorStoreTest, ExpiryMatchesFullWalkOnRandomSchedule) {
     }
     store.expire(now);
     model.expire(now);
-    model.expect_matches(store);
+    model.expect_matches(store, now);
   }
 }
 
 TEST(DescriptorStoreTest, FetchLogRecordsHitsAndMisses) {
   util::Rng rng(25);
-  hsdir::DescriptorStore store;
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
   store.enable_logging(true);
   const auto key = crypto::KeyPair::generate(rng);
   const auto d = hsdir::make_descriptor(key, {}, 0, kT0);
@@ -250,10 +259,114 @@ TEST(DescriptorStoreTest, FetchLogRecordsHitsAndMisses) {
 
 TEST(DescriptorStoreTest, NoLoggingByDefault) {
   util::Rng rng(26);
-  hsdir::DescriptorStore store;
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
   crypto::DescriptorId id{};
   (void)store.fetch(id, kT0);
   EXPECT_TRUE(store.fetch_log().empty());
+}
+
+std::vector<crypto::Fingerprint> random_intro_points(util::Rng& rng,
+                                                    std::size_t count) {
+  std::vector<crypto::Fingerprint> intros(count);
+  for (auto& fp : intros) rng.fill_bytes(fp.data(), fp.size());
+  return intros;
+}
+
+TEST(DescriptorStoreTest, IntroPointsAndKeyRoundTripThroughFetch) {
+  util::Rng rng(37);
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
+  for (std::size_t count = 0; count <= hsdir::kMaxIntroPoints; ++count) {
+    auto d = hsdir::make_descriptor(crypto::KeyPair::generate(rng),
+                                    random_intro_points(rng, count),
+                                    static_cast<std::uint8_t>(count % 2), kT0);
+    d.visible_after = kT0 + 60;
+    store.store(d);
+    const auto fetched = store.fetch(d.descriptor_id, kT0 + 60);
+    ASSERT_TRUE(fetched.has_value());
+    EXPECT_EQ(fetched->introduction_points, d.introduction_points);
+    EXPECT_EQ(fetched->service_public_key, d.service_public_key);
+    EXPECT_EQ(fetched->permanent_id, d.permanent_id);
+    EXPECT_EQ(fetched->replica, d.replica);
+    EXPECT_EQ(fetched->time_period, d.time_period);
+    EXPECT_EQ(fetched->published, d.published);
+    EXPECT_EQ(fetched->visible_after, d.visible_after);
+  }
+  EXPECT_EQ(store.size(), hsdir::kMaxIntroPoints + 1);
+}
+
+TEST(DescriptorStoreTest, MoreThanThreeIntroPointsThrow) {
+  util::Rng rng(38);
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
+  const auto key = crypto::KeyPair::generate(rng);
+  const auto held = hsdir::make_descriptor(key, random_intro_points(rng, 3), 0,
+                                           kT0);
+  store.store(held);
+  auto refresh = held;
+  refresh.introduction_points = random_intro_points(rng, 4);
+  refresh.published = kT0 + 60;
+  EXPECT_THROW(store.store(refresh), std::invalid_argument);
+  EXPECT_THROW(store.store(hsdir::make_descriptor(
+                   key, random_intro_points(rng, 4), 1, kT0)),
+               std::invalid_argument);
+  // Unchanged: the earlier descriptor, nothing new.
+  EXPECT_EQ(store.size(), 1u);
+  const auto fetched = store.fetch(held.descriptor_id, kT0 + 60);
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(fetched->published, kT0);
+  EXPECT_EQ(fetched->introduction_points, held.introduction_points);
+}
+
+TEST(DescriptorStoreTest, TwoServicesFetchBackTheirOwnKeys) {
+  util::Rng rng(39);
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
+  const auto a = hsdir::make_descriptor(crypto::KeyPair::generate(rng), {}, 0,
+                                        kT0);
+  const auto b = hsdir::make_descriptor(crypto::KeyPair::generate(rng), {}, 0,
+                                        kT0);
+  ASSERT_NE(a.service_public_key, b.service_public_key);
+  store.store(a);
+  store.store(b);
+  EXPECT_EQ(keys.size(), 2u);
+  for (const auto* d : {&a, &b}) {
+    const auto fetched = store.fetch(d->descriptor_id, kT0 + 1);
+    ASSERT_TRUE(fetched.has_value());
+    EXPECT_EQ(fetched->service_public_key, d->service_public_key);
+    EXPECT_EQ(fetched->onion_address(), d->onion_address());
+  }
+  // The walk reads the same keys from the table, in id order.
+  std::vector<crypto::DescriptorId> order;
+  store.for_each_descriptor([&](const hsdir::DescriptorView& view) {
+    order.push_back(view.descriptor_id);
+    const auto& owner = view.descriptor_id == a.descriptor_id ? a : b;
+    EXPECT_TRUE(std::equal(view.service_public_key.begin(),
+                           view.service_public_key.end(),
+                           owner.service_public_key.begin(),
+                           owner.service_public_key.end()));
+  });
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_LT(order[0], order[1]);
+}
+
+TEST(DescriptorStoreTest, RefreshKeepsSizeAndReturnsNewPublished) {
+  util::Rng rng(40);
+  hsdir::KeyTable keys;
+  hsdir::DescriptorStore store(keys);
+  const auto d = hsdir::make_descriptor(crypto::KeyPair::generate(rng),
+                                        random_intro_points(rng, 2), 0, kT0);
+  store.store(d);
+  auto refresh = published_at(d, kT0 + 3600);
+  refresh.introduction_points = random_intro_points(rng, 3);
+  store.store(refresh);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(keys.size(), 1u);
+  const auto fetched = store.fetch(d.descriptor_id, kT0 + 3600);
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(fetched->published, kT0 + 3600);
+  EXPECT_EQ(fetched->introduction_points, refresh.introduction_points);
 }
 
 // ---------------------------------------------------------------------
@@ -723,7 +836,14 @@ TEST(ClientCacheTest, SecondFetchSamePeriodServedFromCache) {
   util::Rng rng(90);
   auto host = hs::ServiceHost::create(rng, kT0);
   host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
-  for (auto& [id, store] : net.dirnet.stores()) store.enable_logging(true);
+  for (const auto& e : net.consensus.entries())
+    net.dirnet.store_for(e.relay).enable_logging(true);
+  const auto logged = [&net] {
+    std::size_t total = 0;
+    for (const auto& e : net.consensus.entries())
+      total += net.dirnet.find_store(e.relay)->fetch_log().size();
+    return total;
+  };
 
   hs::Client client(util::Ipv4(100, 9, 9, 9), 3001);
   client.maintain(net.consensus, kT0);
@@ -732,9 +852,7 @@ TEST(ClientCacheTest, SecondFetchSamePeriodServedFromCache) {
                                              kT0 + 10);
   ASSERT_TRUE(first.found);
   EXPECT_FALSE(first.from_cache);
-  std::size_t logged_after_first = 0;
-  for (const auto& [id, store] : net.dirnet.stores())
-    logged_after_first += store.fetch_log().size();
+  const std::size_t logged_after_first = logged();
 
   const auto second = client.fetch_descriptor(host.onion_address(),
                                               net.consensus, net.dirnet,
@@ -743,10 +861,7 @@ TEST(ClientCacheTest, SecondFetchSamePeriodServedFromCache) {
   EXPECT_TRUE(second.from_cache);
   EXPECT_EQ(second.descriptor_id, first.descriptor_id);
   // No additional directory request was made.
-  std::size_t logged_after_second = 0;
-  for (const auto& [id, store] : net.dirnet.stores())
-    logged_after_second += store.fetch_log().size();
-  EXPECT_EQ(logged_after_second, logged_after_first);
+  EXPECT_EQ(logged(), logged_after_first);
 }
 
 TEST(ClientCacheTest, CacheExpiresWithPeriod) {

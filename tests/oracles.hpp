@@ -23,6 +23,9 @@
 //     grinders as one KeyPair::generate, one scalar SHA-1 and (for the
 //     prefix) one onion string per try (vs crypto::grind_key, which
 //     hashes kSha1Lanes candidates at a time and rewinds the Rng).
+//   * DescriptorStoreOracle — the HSDir descriptor store as a std::map
+//     of owned Descriptors (vs hsdir::DescriptorStore's sorted records
+//     with keys in a shared KeyTable and an early-exit expiry).
 #pragma once
 
 #include <algorithm>
@@ -44,6 +47,7 @@
 #include "crypto/keypair.hpp"
 #include "crypto/sha1.hpp"
 #include "dirauth/consensus.hpp"
+#include "hsdir/store.hpp"
 #include "popularity/botnet_inference.hpp"
 #include "popularity/request_generator.hpp"
 #include "popularity/resolver.hpp"
@@ -115,6 +119,52 @@ descriptor_ids_for_period_scalar(const crypto::PermanentId& id,
   }
   return out;
 }
+
+/// One HSDir's descriptor store: the last store() of an id wins; a
+/// descriptor is visible at `now` while now - published is at most
+/// kDescriptorLifetime and now >= visible_after; expire() drops
+/// descriptors published more than kDescriptorLifetime before `now`;
+/// with logging on, every fetch() appends one record, hit or miss.
+class DescriptorStoreOracle {
+ public:
+  void store(const hsdir::Descriptor& d) { held_[d.descriptor_id] = d; }
+
+  std::optional<hsdir::Descriptor> fetch(const crypto::DescriptorId& id,
+                                         util::UnixTime now) {
+    const bool found = contains(id, now);
+    if (logging_) fetch_log_.push_back({id, now, found});
+    if (!found) return std::nullopt;
+    return held_.at(id);
+  }
+
+  bool contains(const crypto::DescriptorId& id, util::UnixTime now) const {
+    const auto it = held_.find(id);
+    return it != held_.end() &&
+           now - it->second.published <= hsdir::kDescriptorLifetime &&
+           now >= it->second.visible_after;
+  }
+
+  void expire(util::UnixTime now) {
+    std::erase_if(held_, [&](const auto& entry) {
+      return now - entry.second.published > hsdir::kDescriptorLifetime;
+    });
+  }
+
+  void enable_logging(bool enabled) { logging_ = enabled; }
+
+  /// Every held descriptor, in id order.
+  const std::map<crypto::DescriptorId, hsdir::Descriptor>& held() const {
+    return held_;
+  }
+  const std::vector<hsdir::FetchRecord>& fetch_log() const {
+    return fetch_log_;
+  }
+
+ private:
+  std::map<crypto::DescriptorId, hsdir::Descriptor> held_;
+  std::vector<hsdir::FetchRecord> fetch_log_;
+  bool logging_ = false;
+};
 
 /// The onion-prefix grinder before the lanes: a fresh KeyPair and its
 /// base32 onion address per try.

@@ -349,49 +349,6 @@ TEST(ConsensusTest, FlagsToString) {
   EXPECT_EQ(dirauth::flags_to_string(flags), "Guard HSDir");
 }
 
-// Consensus generation stamps: DescriptorStore compacts its arena when
-// the publishing generation moves on, so a stamp must identify one
-// entries() buffer.
-dirauth::Consensus make_hsdir_consensus(util::Rng& rng, int n) {
-  std::vector<dirauth::ConsensusEntry> entries;
-  for (int i = 0; i < n; ++i) {
-    dirauth::ConsensusEntry e;
-    e.relay = static_cast<relay::RelayId>(i + 1);
-    rng.fill_bytes(e.fingerprint.data(), e.fingerprint.size());
-    e.flags = dirauth::with_flag(0, dirauth::Flag::kHSDir);
-    entries.push_back(e);
-  }
-  return {1359676800, std::move(entries)};
-}
-
-TEST(ConsensusGenerationTest, DistinctConsensusesGetDistinctStamps) {
-  util::Rng rng(506);
-  const auto a = make_hsdir_consensus(rng, 8);
-  const auto b = make_hsdir_consensus(rng, 8);
-  EXPECT_NE(a.generation(), 0u);
-  EXPECT_NE(b.generation(), 0u);
-  EXPECT_NE(a.generation(), b.generation());
-  EXPECT_EQ(dirauth::Consensus().generation(), 0u);
-}
-
-TEST(ConsensusGenerationTest, CopyRestampsMovePreserves) {
-  util::Rng rng(507);
-  auto original = make_hsdir_consensus(rng, 8);
-  const std::uint64_t stamp = original.generation();
-
-  // A copy owns a different entries buffer, so it re-stamps.
-  const dirauth::Consensus copy(original);
-  EXPECT_NE(copy.generation(), stamp);
-  EXPECT_NE(copy.generation(), 0u);
-
-  // A move carries the buffer, so pointers into it stay valid: the
-  // stamp moves with it and the source decays to the empty consensus.
-  const dirauth::Consensus moved(std::move(original));
-  EXPECT_EQ(moved.generation(), stamp);
-  EXPECT_EQ(original.generation(), 0u);  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(original.size(), 0u);
-}
-
 }  // namespace
 }  // namespace torsim
 
