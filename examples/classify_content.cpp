@@ -5,8 +5,8 @@
 //
 //   $ ./classify_content [scale]   (default 0.1 = ~4k services)
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "content/pipeline.hpp"
 #include "scan/cert_analysis.hpp"
 #include "scan/crawler.hpp"
@@ -16,7 +16,8 @@
 int main(int argc, char** argv) {
   using namespace torsim;
 
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.1;
+  const double scale =
+      examples::number_arg(argc, argv, 1, 0.1, 0.0, "[scale]");
 
   population::PopulationConfig pc;
   pc.seed = 404;

@@ -5,10 +5,10 @@
 // entered through an attacker guard reveal the client's IP. Recovered
 // addresses are aggregated into the Fig. 3 country map.
 //
-//   $ ./deanonymize_clients [attacker_guards] [clients]
+//   $ ./deanonymize_clients [attacker_guards] [clients]   (clients >= 1)
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "attack/deanonymizer.hpp"
 #include "geo/client_map.hpp"
 #include "sim/world.hpp"
@@ -16,8 +16,10 @@
 int main(int argc, char** argv) {
   using namespace torsim;
 
-  const int attacker_guards = argc > 1 ? std::atoi(argv[1]) : 25;
-  const int clients = argc > 2 ? std::atoi(argv[2]) : 200;
+  const char* usage = "[attacker_guards] [clients]   (clients >= 1)";
+  const int attacker_guards =
+      examples::number_arg(argc, argv, 1, 25, 0, usage);
+  const int clients = examples::number_arg(argc, argv, 2, 200, 1, usage);
 
   sim::WorldConfig wc;
   wc.seed = 1306;

@@ -4,17 +4,18 @@
 // statistical detector over it.
 //
 //   $ ./detect_tracking [seed]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "trackdet/scenario.hpp"
 
 int main(int argc, char** argv) {
   using namespace torsim;
   using namespace torsim::trackdet;
 
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                      : 20130204;
+  const auto seed = examples::number_arg<std::uint64_t>(argc, argv, 1,
+                                                        20130204, 0, "[seed]");
   std::printf("simulating 2011-02-01 .. 2013-10-31 consensus history "
               "(seed %llu)...\n",
               static_cast<unsigned long long>(seed));

@@ -3,19 +3,21 @@
 // consensus for 24 hours, and read the collected descriptors back into
 // onion addresses.
 //
-//   $ ./harvest_onions [num_ips] [relays_per_ip]
+//   $ ./harvest_onions [num_ips] [relays_per_ip]   (>= 1 and >= 2)
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 
+#include "args.hpp"
 #include "attack/harvester.hpp"
 #include "sim/world.hpp"
 
 int main(int argc, char** argv) {
   using namespace torsim;
 
-  const int num_ips = argc > 1 ? std::atoi(argv[1]) : 10;
-  const int relays_per_ip = argc > 2 ? std::atoi(argv[2]) : 12;
+  const char* usage = "[num_ips] [relays_per_ip]   (>= 1 and >= 2)";
+  const int num_ips = examples::number_arg(argc, argv, 1, 10, 1, usage);
+  const int relays_per_ip =
+      examples::number_arg(argc, argv, 2, 12, 2, usage);
 
   sim::WorldConfig config;
   config.seed = 1302;

@@ -145,6 +145,30 @@ TEST_P(LanguageDetectorParamTest, DetectsGeneratedPages) {
 INSTANTIATE_TEST_SUITE_P(AllLanguages, LanguageDetectorParamTest,
                          ::testing::Range(0, kNumLanguages));
 
+// EXPERIMENTS.md's language-ID ablation: over 20 generated pages per
+// language, accuracy at 3 words is well short of the perfect score
+// reached from 40 words on, which is why the paper excluded pages
+// under 20 words.
+TEST(LanguageDetectorTest, AccuracyAtThreeAndFortyPlusWords) {
+  const auto correct_pages = [](int words) {
+    PageGenerator gen;
+    util::Rng rng(4000 + static_cast<std::uint64_t>(words));
+    int correct = 0;
+    for (int li = 0; li < kNumLanguages; ++li) {
+      const Language lang = language_from_index(li);
+      for (int i = 0; i < 20; ++i)
+        if (LanguageDetector::instance()
+                .detect(gen.generate(Topic::kOther, lang, words, rng))
+                .language == lang)
+          ++correct;
+    }
+    return correct;
+  };
+  EXPECT_EQ(correct_pages(3), 289);  // of 340: 85%
+  for (const int words : {40, 80, 160})
+    EXPECT_EQ(correct_pages(words), 20 * kNumLanguages) << words << " words";
+}
+
 TEST(LanguageDetectorTest, EmptyTextFallsBackToEnglish) {
   const auto guess = LanguageDetector::instance().detect("");
   EXPECT_EQ(guess.language, Language::kEnglish);

@@ -2,7 +2,9 @@
 // it: every stage's output is rendered in full and must be
 // byte-identical to the oracle's for several seeds, at threads 1 and 4.
 // Under an enabled fault plan the crawl must re-visit destinations up
-// to the plan's retry budget. The paper rows `torsim report` does not
+// to the plan's retry budget; the Sec. VII stage must equal torbench's
+// trackdet::run_silkroad_study(seed), and the Fig. 3 and Sec. VI stages
+// must be deterministic per seed. The paper rows `torsim report` does not
 // print (the Sec. IV exclusion funnel and the in-text language split)
 // are checked against the paper at scale 0.05.
 #include <gtest/gtest.h>
@@ -129,6 +131,58 @@ std::string render(const popularity::BotnetInferenceReport& report) {
   return os.str();
 }
 
+std::string render(const trackdet::TrackingReport& report) {
+  auto os = render_stream();
+  os << report.snapshots << ' ' << report.mean_hsdirs << ' '
+     << report.suspicion_threshold << ' ' << report.full_takeover_periods
+     << '\n';
+  for (const auto& s : report.suspicious)
+    os << s.name << ' ' << s.truth_campaign << ' ' << s.stats.server << ' '
+       << s.stats.periods_responsible << ' ' << s.stats.fingerprint_switches
+       << ' ' << s.stats.max_ratio << ' ' << s.flags.count() << '\n';
+  for (const auto& c : report.clusters) {
+    os << c.shared_prefix << ' ' << c.first_seen << ' ' << c.last_seen << ' '
+       << c.periods_covered << ' ' << c.max_ratio << ' ' << c.full_takeover;
+    for (const auto server : c.servers) os << ' ' << server;
+    os << '\n';
+  }
+  return os.str();
+}
+
+std::string render(const trackdet::SilkroadStudy& study) {
+  std::string out = render(study.report);
+  for (const auto& year : study.yearly) out += "year\n" + render(year);
+  return out;
+}
+
+std::string render(const attack::DeanonymizationReport& report) {
+  auto os = render_stream();
+  os << report.fetches_observed << ' ' << report.signatures_injected << ' '
+     << report.through_our_guard << ' ' << report.deanonymized << ' '
+     << report.false_positives << '\n';
+  for (const auto address : report.client_addresses) os << address << ' ';
+  os << '\n';
+  return os.str();
+}
+
+std::string render(const pipeline::GeoMap& geomap) {
+  auto os = render_stream();
+  os << geomap.clients << '\n' << render(geomap.attack);
+  for (const auto& row : geomap.map.rows())
+    os << row.code << ' ' << row.clients << ' ' << row.share << '\n';
+  return os.str();
+}
+
+std::string render(const pipeline::Deanon& deanon) {
+  auto os = render_stream();
+  for (const auto& point : deanon.sweep)
+    os << point.attacker_guards << ' ' << point.guard_share << ' '
+       << point.signed_share << ' ' << point.success_per_fetch << '\n';
+  os << deanon.signature_trials << ' ' << deanon.detected << ' '
+     << deanon.false_positives << '\n';
+  return os.str();
+}
+
 /// Every src/pipeline stage after population, in chain order.
 oracle::PaperChain run_pipeline(const pipeline::Config& config,
                                 const population::Population& pop) {
@@ -162,10 +216,14 @@ TEST_P(PipelineSeedTest, EveryStageMatchesTorbenchWiring) {
   EXPECT_EQ(render(pop), render(want_pop));
   const oracle::PaperChain want = oracle::paper_chain(want_pop, seed, 1);
   expect_same_outputs(run_pipeline(config, pop), want);
+  // torbench's harness runs the Sec. VII study at the seed itself.
+  const auto study = trackdet::run_silkroad_study(seed);
+  EXPECT_EQ(render(pipeline::trackdet(config)), render(study));
   // The oracle must not be trivially empty.
   EXPECT_GT(want.scan.total_open_ports(), 0);
   EXPECT_GT(want.content.classified, 0u);
   EXPECT_GT(want.ranking.resolved_onions, 0);
+  EXPECT_FALSE(study.report.clusters.empty());
 }
 
 TEST_P(PipelineSeedTest, ThreadCountDoesNotChangeOutput) {
@@ -178,6 +236,29 @@ TEST_P(PipelineSeedTest, ThreadCountDoesNotChangeOutput) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineSeedTest,
                          ::testing::Values(0u, 1u, 7u));
+
+// The Fig. 3 and Sec. VI studies: the same seed gives the same output
+// and neither is empty; geomap, the cheaper one, also shows that another
+// seed gives another output. (Key grinding makes each run slow under
+// sanitizers, so deanon runs only twice.)
+TEST(PipelineStudiesTest, GeomapAndDeanonAreDeterministicPerSeed) {
+  const pipeline::Config config{.seed = 20130204};
+  const pipeline::Config other{.seed = 1};
+  const auto geomap = pipeline::geomap(config);
+  EXPECT_EQ(render(geomap), render(pipeline::geomap(config)));
+  EXPECT_NE(render(geomap), render(pipeline::geomap(other)));
+  EXPECT_EQ(geomap.clients, 400);
+  EXPECT_GT(geomap.attack.client_addresses.size(), 0u);
+  EXPECT_FALSE(geomap.map.rows().empty());
+
+  const auto deanon = pipeline::deanon(config);
+  EXPECT_EQ(render(deanon), render(pipeline::deanon(config)));
+  ASSERT_EQ(deanon.sweep.size(), 6u);
+  EXPECT_EQ(deanon.sweep.front().success_per_fetch, 0.0);
+  EXPECT_GT(deanon.sweep.back().success_per_fetch, 0.0);
+  EXPECT_EQ(deanon.signature_trials, 20000);
+  EXPECT_GT(deanon.detected, 0);
+}
 
 TEST(PipelineFaultsTest, CrawlRevisitsUpToTheRetryBudget) {
   const std::uint64_t seed = 1;

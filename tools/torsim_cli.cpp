@@ -335,18 +335,34 @@ int cmd_harvest(const Options& opt) {
   return 0;
 }
 
+/// The Sec. VII tables, shared by `torsim trackdet` and `torsim report`
+/// so the two print the same rows.
+std::string trackdet_tables(const trackdet::TrackingReport& report) {
+  char line[256];
+  std::snprintf(line, sizeof line,
+                "| quantity | measured |\n|---|---|\n"
+                "| daily snapshots | %lld |\n"
+                "| suspicion threshold | %.1f |\n"
+                "| full-takeover periods | %lld |\n\n"
+                "| cluster | servers | periods | max ratio | takeover |\n"
+                "|---|---|---|---|---|\n",
+                static_cast<long long>(report.snapshots),
+                report.suspicion_threshold,
+                static_cast<long long>(report.full_takeover_periods));
+  std::string out = line;
+  for (const auto& cluster : report.clusters) {
+    std::snprintf(line, sizeof line, "| %s* | %zu | %lld | %.0f | %s |\n",
+                  cluster.shared_prefix.c_str(), cluster.servers.size(),
+                  static_cast<long long>(cluster.periods_covered),
+                  cluster.max_ratio, cluster.full_takeover ? "yes" : "no");
+    out += line;
+  }
+  return out;
+}
+
 int cmd_trackdet(const Options& opt) {
-  const auto study = trackdet::run_silkroad_study(opt.seed);
-  std::printf("%lld daily snapshots, threshold %.1f, takeover periods %lld\n",
-              static_cast<long long>(study.report.snapshots),
-              study.report.suspicion_threshold,
-              static_cast<long long>(study.report.full_takeover_periods));
-  for (const auto& cluster : study.report.clusters)
-    std::printf("  cluster '%s*': %zu servers, %lld periods, ratio %.0f%s\n",
-                cluster.shared_prefix.c_str(), cluster.servers.size(),
-                static_cast<long long>(cluster.periods_covered),
-                cluster.max_ratio,
-                cluster.full_takeover ? " [TAKEOVER]" : "");
+  const auto study = pipeline::trackdet(opt);
+  std::fputs(trackdet_tables(study.report).c_str(), stdout);
   if (!opt.csv.empty()) {
     util::CsvWriter csv(opt.csv);
     csv.row({"server", "responsible_periods", "fp_switches", "max_ratio",
@@ -384,8 +400,9 @@ int cmd_consensus(const Options& opt) {
 }
 
 int cmd_report(const Options& opt) {
-  // Full pipeline at the requested scale, emitted as a measured-vs-paper
-  // markdown report (the generator behind EXPERIMENTS.md).
+  // Full pipeline at the requested scale, then the Fig. 3, Sec. VI and
+  // Sec. VII studies, emitted as a measured-vs-paper markdown report
+  // (the generator behind EXPERIMENTS.md).
   const auto pop = pipeline::population(opt);
   const auto scan_report = pipeline::scan(opt, pop);
   const auto certs = pipeline::cert(pop, scan_report);
@@ -396,7 +413,7 @@ int cmd_report(const Options& opt) {
   const auto& paper = population::paper();
   const double s = opt.scale;
   std::string out;
-  char line[256];
+  char line[512];
   const auto row = [&](const std::string& label, double measured,
                        double paper_val) {
     const double scaled = paper_val * s;
@@ -469,6 +486,58 @@ int cmd_report(const Options& opt) {
                 resolution.unresolved_request_share(),
                 paper.nonexistent_request_share);
   out += line;
+
+  const auto geomap = pipeline::geomap(opt);
+  std::snprintf(line, sizeof line,
+                "\n## Fig. 3 (Goldnet clients)\n\n"
+                "| quantity | measured |\n|---|---|\n"
+                "| clients | %d |\n"
+                "| descriptor fetches | %lld |\n"
+                "| signed fetches | %lld |\n"
+                "| fetches via attacker guards | %lld |\n"
+                "| deanonymised clients | %zu |\n\n"
+                "| cc | country | clients | share %% |\n|---|---|---|---|\n",
+                geomap.clients,
+                static_cast<long long>(geomap.attack.fetches_observed),
+                static_cast<long long>(geomap.attack.signatures_injected),
+                static_cast<long long>(geomap.attack.through_our_guard),
+                geomap.attack.client_addresses.size());
+  out += line;
+  const auto countries = geomap.map.rows();
+  for (std::size_t i = 0; i < countries.size() && i < 10; ++i) {
+    std::snprintf(line, sizeof line, "| %s | %s | %lld | %.1f |\n",
+                  countries[i].code.c_str(), countries[i].name.c_str(),
+                  static_cast<long long>(countries[i].clients),
+                  countries[i].share * 100.0);
+    out += line;
+  }
+
+  const auto deanon = pipeline::deanon(opt);
+  out += "\n## Sec. VI (client deanonymisation)\n\n"
+         "| attacker guards | guard bw share | signed share | "
+         "P(deanon)/fetch | ratio |\n|---|---|---|---|---|\n";
+  for (const auto& point : deanon.sweep) {
+    char ratio[32] = "n/a";
+    if (point.guard_share > 0)
+      std::snprintf(ratio, sizeof ratio, "%.2f",
+                    point.success_per_fetch / point.guard_share);
+    std::snprintf(line, sizeof line, "| %d | %.3f | %.3f | %.3f | %s |\n",
+                  point.attacker_guards, point.guard_share,
+                  point.signed_share, point.success_per_fetch, ratio);
+    out += line;
+  }
+  const double trials = deanon.signature_trials;
+  std::snprintf(line, sizeof line,
+                "\n| quantity | measured |\n|---|---|\n"
+                "| signature trials | %d |\n"
+                "| detection rate | %.4f |\n"
+                "| false-positive rate | %.5f |\n",
+                deanon.signature_trials, deanon.detected / trials,
+                deanon.false_positives / trials);
+  out += line;
+
+  out += "\n## Sec. VII (Silk Road tracking)\n\n" +
+         trackdet_tables(pipeline::trackdet(opt).report);
 
   if (opt.out.empty()) {
     std::fputs(out.c_str(), stdout);
@@ -742,7 +811,7 @@ const Command kCommands[] = {
     {"consensus", cmd_consensus, false,
      "dump a dir-spec consensus archive"},
     {"report", cmd_report, false,
-     "full-pipeline measured-vs-paper markdown report"},
+     "every paper artifact as a measured-vs-paper markdown report"},
     {"scenario", cmd_scenario, true,
      "run|check|list longitudinal scenario packs (docs/scenarios.md)"},
     {"geoip", cmd_geoip, true, "look up synthetic GeoIP for addresses"},
