@@ -21,10 +21,10 @@ RequestStream stream_from_fetch_logs(
       ++stream.real_requests;
     }
   }
-  std::sort(stream.requests.begin(), stream.requests.end(),
-            [](const DescriptorRequest& a, const DescriptorRequest& b) {
-              return a.time < b.time;
-            });
+  std::stable_sort(stream.requests.begin(), stream.requests.end(),
+                   [](const DescriptorRequest& a, const DescriptorRequest& b) {
+                     return a.time < b.time;
+                   });
   return stream;
 }
 

@@ -13,10 +13,11 @@
 namespace torsim::popularity {
 
 /// Collects the fetch logs of `attacker_relays` from the directory
-/// network into a time-sorted request stream. Duplicate sightings of the
-/// same request at multiple relays are expected (a client retries
-/// several responsible HSDirs) and are kept, as they were in the paper's
-/// raw logs.
+/// network into a request stream sorted by time, ties in fetch-log
+/// order (relay by relay in `attacker_relays` order, then log order).
+/// Duplicate sightings of the same request at multiple relays are
+/// expected (a client retries several responsible HSDirs) and are kept,
+/// as they were in the paper's raw logs.
 RequestStream stream_from_fetch_logs(
     const hsdir::DirectoryNetwork& dirnet,
     std::span<const relay::RelayId> attacker_relays);

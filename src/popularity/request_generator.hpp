@@ -25,6 +25,10 @@ struct DescriptorRequest {
   util::UnixTime time = 0;
 };
 
+/// Validated by the RequestGenerator constructor, which throws
+/// std::invalid_argument unless window_length is in [1, 2^32] s,
+/// phantom_request_share is finite and in [0, 1), and phantom_id_ratio
+/// is finite and >= 0.
 struct RequestGeneratorConfig {
   std::uint64_t seed = 1305;
   /// Window start; 0 means the paper's 2013-02-04 10:00 UTC.
@@ -45,6 +49,8 @@ struct RequestGeneratorConfig {
 };
 
 struct RequestStream {
+  /// Sorted by time; requests with equal times keep the order they were
+  /// generated (or, from fetch logs, logged) in.
   std::vector<DescriptorRequest> requests;
   std::int64_t real_requests = 0;
   std::int64_t phantom_requests = 0;
@@ -56,7 +62,9 @@ class RequestGenerator {
  public:
   explicit RequestGenerator(RequestGeneratorConfig config = {});
 
-  /// Generates the full request stream for the window, time-sorted.
+  /// Generates the full request stream for the window: sorted by time,
+  /// ties in generation order (real requests service by service, then
+  /// phantom requests id by id).
   RequestStream generate(const population::Population& pop) const;
 
  private:

@@ -1,7 +1,11 @@
 #include "popularity/resolver.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <array>
+#include <bit>
+#include <compare>
+#include <cstring>
+#include <utility>
 
 #include "util/parallel.hpp"
 
@@ -9,37 +13,70 @@ namespace torsim::popularity {
 
 namespace {
 
-/// Buckets of the ring sort: one per value of an id's top 16 bits.
-constexpr std::size_t kRingBuckets = std::size_t{1} << 16;
+/// The ring sort's buckets: one per value of an id's top byte, each
+/// split into sub-buckets by its next 12 bits.
+constexpr std::size_t kTopBuckets = 256;
+constexpr std::size_t kSubBuckets = 4096;
+/// Ids one derivation task hashes into its stack buffer at a time (the
+/// default window derives 24 per onion).
+constexpr std::size_t kDerivedRun = 32;
+/// Slots of the tally's hash table before it first grows.
+constexpr std::size_t kInitialTallySlots = 4096;
 
-/// Writes the `n` items `item(0)`, ..., `item(n - 1)` to `out` sorted by
-/// operator<, which must order items by `id_of(item)` first (ring order).
-/// A counting pass scatters the items into kRingBuckets buckets by the
-/// id's top 16 bits, then std::sort orders each bucket. Descriptor ids
-/// are SHA-1 outputs, uniform on the ring, so a bucket holds a few dozen
-/// items and the whole sort is close to two linear passes. `out` has `n`
-/// slots and `starts` kRingBuckets + 1; nothing is allocated.
-template <typename T, typename Item, typename IdOf>
-void ring_sort(std::size_t n, Item item, IdOf id_of, std::span<T> out,
-               std::span<std::size_t> starts) {
-  const auto bucket = [&](const T& value) {
-    const crypto::DescriptorId& id = std::invoke(id_of, value);
-    return std::size_t{id[0]} << 8 | id[1];
-  };
-  std::fill(starts.begin(), starts.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) ++starts[bucket(item(i)) + 1];
-  for (std::size_t b = 1; b < starts.size(); ++b) starts[b] += starts[b - 1];
-  // Scatter; afterwards starts[b] is the end of bucket b.
-  for (std::size_t i = 0; i < n; ++i) {
-    const T value = item(i);
-    out[starts[bucket(value)]++] = value;
-  }
-  std::size_t begin = 0;
-  for (std::size_t b = 0; b < kRingBuckets; ++b) {
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
-              out.begin() + static_cast<std::ptrdiff_t>(starts[b]));
-    begin = starts[b];
-  }
+// Words of an id: native-endian loads for hashing and equality,
+// big-endian (a load and a byte swap) for ring order.
+std::uint64_t load64(const std::uint8_t* bytes) {
+  std::uint64_t value;
+  std::memcpy(&value, bytes, sizeof value);
+  return value;
+}
+
+std::uint32_t load32(const std::uint8_t* bytes) {
+  std::uint32_t value;
+  std::memcpy(&value, bytes, sizeof value);
+  return value;
+}
+
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+std::uint64_t load_be64(const std::uint8_t* bytes) {
+  return kLittleEndian ? __builtin_bswap64(load64(bytes)) : load64(bytes);
+}
+
+std::uint32_t load_be32(const std::uint8_t* bytes) {
+  return kLittleEndian ? __builtin_bswap32(load32(bytes)) : load32(bytes);
+}
+
+/// Ring order of two ids from their big-endian 64-, 64- and 32-bit
+/// words instead of 20 byte compares.
+std::strong_ordering compare_ids(const crypto::DescriptorId& a,
+                                 const crypto::DescriptorId& b) {
+  const std::uint8_t* x = a.data();
+  const std::uint8_t* y = b.data();
+  if (const auto c = load_be64(x) <=> load_be64(y); c != 0) return c;
+  if (const auto c = load_be64(x + 8) <=> load_be64(y + 8); c != 0) return c;
+  return load_be32(x + 16) <=> load_be32(y + 16);
+}
+
+bool same_id(const crypto::DescriptorId& a, const crypto::DescriptorId& b) {
+  const std::uint8_t* x = a.data();
+  const std::uint8_t* y = b.data();
+  return ((load64(x) ^ load64(y)) | (load64(x + 8) ^ load64(y + 8)) |
+          (load32(x + 16) ^ load32(y + 16))) == 0;
+}
+
+std::uint64_t mix64(std::uint64_t x) {  // SplitMix64's finalizer
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Hash of all 20 bytes of an id. Ids are SHA-1 outputs, but a stream
+/// can repeat crafted ids that share any window of bytes.
+std::uint64_t hash_id(const crypto::DescriptorId& id) {
+  const std::uint8_t* bytes = id.data();
+  return mix64(load64(bytes) ^
+               mix64(load64(bytes + 8) ^ mix64(load32(bytes + 16))));
 }
 
 }  // namespace
@@ -50,6 +87,58 @@ DescriptorResolver::DescriptorResolver(ResolverConfig config)
     config_.derive_from = util::make_utc(2013, 1, 28);
   if (config_.derive_to == 0)
     config_.derive_to = util::make_utc(2013, 2, 9);
+}
+
+void DescriptorResolver::ring_sort(std::span<Entry> entries, int threads) {
+  // Pass 1, in place: permute the entries into buckets by the id's top
+  // byte, following each displaced entry to its bucket's next free slot
+  // (an American flag sort). No second array of entries is needed.
+  std::array<std::size_t, kTopBuckets + 1> starts{};
+  for (const Entry& entry : entries) ++starts[entry.id[0] + 1];
+  for (std::size_t b = 1; b < starts.size(); ++b) starts[b] += starts[b - 1];
+  std::array<std::size_t, kTopBuckets> next{};
+  std::copy(starts.begin(), starts.end() - 1, next.begin());
+  for (std::size_t b = 0; b < kTopBuckets; ++b) {
+    while (next[b] < starts[b + 1]) {
+      Entry entry = entries[next[b]];
+      for (std::size_t to = entry.id[0]; to != b; to = entry.id[0])
+        std::swap(entry, entries[next[to]++]);
+      entries[next[b]++] = entry;
+    }
+  }
+
+  // Pass 2, one task per top-byte bucket (a few thousand entries, cache
+  // resident): scatter it by the next 12 bits into a scratch copy, sort
+  // each sub-bucket (about one entry) by (id, position) with word
+  // compares, and copy it back. Tasks touch disjoint slices of
+  // `entries`; pass 1's order inside a bucket does not matter, since
+  // (id, position) is a total order.
+  const auto entry_less = [](const Entry& x, const Entry& y) {
+    const auto c = compare_ids(x.id, y.id);
+    return c != 0 ? c < 0 : x.onion < y.onion;
+  };
+  const auto sub_bucket = [](const Entry& entry) {
+    return std::size_t{entry.id[1]} << 4 | entry.id[2] >> 4;
+  };
+  util::parallel_for(kTopBuckets, threads, [&](std::size_t top) {
+    const std::span<Entry> bucket =
+        entries.subspan(starts[top], starts[top + 1] - starts[top]);
+    std::vector<Entry> scratch(bucket.size());
+    std::vector<std::size_t> ends(kSubBuckets + 1);
+    for (const Entry& entry : bucket) ++ends[sub_bucket(entry) + 1];
+    for (std::size_t k = 1; k < ends.size(); ++k) ends[k] += ends[k - 1];
+    // Afterwards ends[k] is the end of sub-bucket k.
+    for (const Entry& entry : bucket)
+      scratch[ends[sub_bucket(entry)]++] = entry;
+    std::size_t begin = 0;
+    for (std::size_t k = 0; k < kSubBuckets; begin = ends[k++]) {
+      if (ends[k] - begin < 2) continue;
+      std::sort(scratch.begin() + static_cast<std::ptrdiff_t>(begin),
+                scratch.begin() + static_cast<std::ptrdiff_t>(ends[k]),
+                entry_less);
+    }
+    std::copy(scratch.begin(), scratch.end(), bucket.begin());
+  });
 }
 
 void DescriptorResolver::build_dictionary(
@@ -64,8 +153,11 @@ void DescriptorResolver::build_dictionary(
 void DescriptorResolver::build_dictionary_from_onions(
     const std::vector<std::string>& onions) {
   // The SHA-1 derivations per onion are independent: fan them out into
-  // per-onion slots of one flat array (onion-major, then period-major,
-  // replica-minor — the order the serial per-period loop produced). The
+  // per-onion slots of the dictionary (onion-major, then period-major,
+  // replica-minor — the order the serial per-period loop produced). Each
+  // entry carries its onion's input position until the sort: ordered by
+  // (id, position), the last entry of each equal-id run is the last
+  // writer in input order — the rule of a serial map insert. The
   // time-period function shifts per-service, so derive once per day in
   // the window; duplicate ids are dropped below.
   std::vector<util::UnixTime> days;
@@ -74,7 +166,7 @@ void DescriptorResolver::build_dictionary_from_onions(
     days.push_back(t);
   const std::size_t replicas = static_cast<std::size_t>(crypto::kNumReplicas);
   const std::size_t per_onion = days.size() * replicas;
-  std::vector<crypto::DescriptorId> derived(onions.size() * per_onion);
+  dictionary_.resize(onions.size() * per_onion);
   if (!days.empty()) {
     // A public onion's secret-id-parts depend only on (period, replica),
     // and its period steps by exactly one per day. Every onion's periods
@@ -92,9 +184,16 @@ void DescriptorResolver::build_dictionary_from_onions(
       const auto pid = crypto::parse_onion_address(onions[index]);
       const std::size_t offset =
           (crypto::time_period(days.front(), pid) - first_period) * replicas;
-      crypto::descriptor_ids_for_periods(
-          pid, std::span(secrets).subspan(offset, per_onion),
-          std::span(derived).subspan(index * per_onion, per_onion));
+      std::array<crypto::DescriptorId, kDerivedRun> ids;
+      for (std::size_t done = 0; done < per_onion; done += ids.size()) {
+        const std::size_t n = std::min(ids.size(), per_onion - done);
+        crypto::descriptor_ids_for_periods(
+            pid, std::span(secrets).subspan(offset + done, n),
+            std::span(ids).first(n));
+        for (std::size_t k = 0; k < n; ++k)
+          dictionary_[index * per_onion + done + k] =
+              Entry{ids[k], static_cast<std::uint32_t>(index)};
+      }
     });
   }
 
@@ -108,22 +207,10 @@ void DescriptorResolver::build_dictionary_from_onions(
   std::sort(onions_.begin(), onions_.end());
   onions_.erase(std::unique(onions_.begin(), onions_.end()), onions_.end());
 
-  // Entries carry their onion's input position until the sort: ordered
-  // by (id, position), the last entry of each equal-id run is the last
-  // writer in input order — the rule of a serial map insert.
-  dictionary_.resize(derived.size());
-  std::vector<std::size_t> starts(kRingBuckets + 1);
-  ring_sort(
-      derived.size(),
-      [&](std::size_t i) {
-        return Entry{derived[i], static_cast<std::uint32_t>(i / per_onion)};
-      },
-      &Entry::id, std::span<Entry>(dictionary_), starts);
-  derived = {};
-
+  ring_sort(dictionary_, config_.threads);
   std::size_t kept = 0;
   for (const Entry& entry : dictionary_) {
-    if (kept > 0 && dictionary_[kept - 1].id == entry.id) --kept;
+    if (kept > 0 && same_id(dictionary_[kept - 1].id, entry.id)) --kept;
     dictionary_[kept++] = entry;
   }
   dictionary_.resize(kept);
@@ -165,32 +252,60 @@ ResolutionReport DescriptorResolver::resolve(
   return resolve_internal(stream, &pop);
 }
 
-// The request-log join is the resolver's measured inner loop: sort the
-// request ids, count each run, and walk the sorted dictionary alongside
-// (a merge join). Everything allocator-visible (the scratch storage, the
-// ranking rows, label lookups) stays in resolve_internal.
+DescriptorResolver::IdCount& DescriptorResolver::probe(
+    std::span<IdCount> table, const crypto::DescriptorId& id) {
+  const std::size_t mask = table.size() - 1;
+  std::size_t at = static_cast<std::size_t>(hash_id(id)) & mask;
+  while (table[at].count != 0 && !same_id(table[at].id, id))
+    at = (at + 1) & mask;
+  return table[at];
+}
+
+// The request-log join is the resolver's measured inner loop: count
+// each distinct request id in a hash table, then sort the distinct ids
+// (tens of thousands, not one per request) and walk the sorted
+// dictionary alongside (a merge join). Everything allocator-visible
+// (the table and its growth, the ranking rows, label lookups) stays in
+// resolve_internal.
 // detlint: hot
-void DescriptorResolver::tally_requests(
-    const RequestStream& stream, std::span<crypto::DescriptorId> sorted,
-    std::span<std::size_t> starts, std::span<std::int64_t> onion_counts,
-    ResolutionReport& report) const {
-  ring_sort(
-      stream.requests.size(),
-      [&](std::size_t i) { return stream.requests[i].descriptor_id; },
-      std::identity{}, sorted, starts);
-  auto entry = dictionary_.begin();
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t end = i + 1;
-    while (end < sorted.size() && sorted[end] == sorted[i]) ++end;
-    const auto count = static_cast<std::int64_t>(end - i);
-    ++report.unique_descriptor_ids;
-    while (entry != dictionary_.end() && entry->id < sorted[i]) ++entry;
-    if (entry != dictionary_.end() && entry->id == sorted[i]) {
-      ++report.resolved_descriptor_ids;
-      report.resolved_requests += count;
-      onion_counts[entry->onion] += count;
+std::size_t DescriptorResolver::count_request_ids(
+    std::span<const DescriptorRequest> requests, std::size_t from,
+    std::span<IdCount> table, std::size_t& distinct) {
+  for (std::size_t i = from; i < requests.size(); ++i) {
+    IdCount& slot = probe(table, requests[i].descriptor_id);
+    if (slot.count == 0) {
+      if (2 * (distinct + 1) > table.size()) return i;
+      slot.id = requests[i].descriptor_id;
+      ++distinct;
     }
-    i = end;
+    ++slot.count;
+  }
+  return requests.size();
+}
+
+// detlint: hot
+void DescriptorResolver::tally_requests(std::span<IdCount> table,
+                                        std::span<std::int64_t> onion_counts,
+                                        ResolutionReport& report) const {
+  std::size_t distinct = 0;
+  for (const IdCount& slot : table)
+    if (slot.count != 0) table[distinct++] = slot;
+  const std::span<IdCount> counted = table.first(distinct);
+  std::sort(counted.begin(), counted.end(),
+            [](const IdCount& a, const IdCount& b) {
+              return compare_ids(a.id, b.id) < 0;
+            });
+  report.unique_descriptor_ids = static_cast<std::int64_t>(distinct);
+  auto entry = dictionary_.begin();
+  for (const IdCount& request : counted) {
+    while (entry != dictionary_.end() &&
+           compare_ids(entry->id, request.id) < 0)
+      ++entry;
+    if (entry != dictionary_.end() && same_id(entry->id, request.id)) {
+      ++report.resolved_descriptor_ids;
+      report.resolved_requests += request.count;
+      onion_counts[entry->onion] += request.count;
+    }
   }
 }
 
@@ -199,10 +314,20 @@ ResolutionReport DescriptorResolver::resolve_internal(
   ResolutionReport report;
   report.total_requests = static_cast<std::int64_t>(stream.requests.size());
 
-  std::vector<crypto::DescriptorId> sorted(stream.requests.size());
-  std::vector<std::size_t> starts(kRingBuckets + 1);
+  // The table doubles whenever counting stops at half load, so its size
+  // stays within 4x the distinct ids (or kInitialTallySlots).
+  std::vector<IdCount> table(kInitialTallySlots);
+  std::size_t distinct = 0;
+  for (std::size_t at = 0;
+       (at = count_request_ids(stream.requests, at, table, distinct)) <
+       stream.requests.size();) {
+    std::vector<IdCount> grown(table.size() * 2);
+    for (const IdCount& slot : table)
+      if (slot.count != 0) probe(grown, slot.id) = slot;
+    table.swap(grown);
+  }
   std::vector<std::int64_t> onion_counts(onions_.size(), 0);
-  tally_requests(stream, sorted, starts, onion_counts, report);
+  tally_requests(table, onion_counts, report);
 
   // Slot order is intern-id order, not lexicographic — harmless: the
   // sort below totally orders rows by (requests, onion).

@@ -7,7 +7,6 @@
 // We implement exactly that method.
 #pragma once
 
-#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -26,9 +25,9 @@ struct ResolverConfig {
   util::UnixTime derive_from = 0;
   util::UnixTime derive_to = 0;
   /// Worker threads for the per-onion multi-day descriptor-ID
-  /// derivation; <= 0 = one per hardware thread, 1 = legacy serial
-  /// path. The dictionary is bit-identical for every value (see
-  /// docs/concurrency.md).
+  /// derivation and the dictionary's ring sort; <= 0 = one per hardware
+  /// thread, 1 = serial. The dictionary is bit-identical for every value
+  /// (see docs/concurrency.md).
   int threads = 0;
   /// Optional metrics sink ("resolver.*" counters). Must outlive the
   /// resolver. See docs/observability.md.
@@ -88,25 +87,51 @@ class DescriptorResolver {
 
  private:
   /// One dictionary row: a derived descriptor id and the slot of the
-  /// onion it resolves to (an index into onions_). Ordered by id first.
+  /// onion it resolves to (an index into onions_).
   struct Entry {
     crypto::DescriptorId id;
     std::uint32_t onion = 0;
-    friend auto operator<=>(const Entry&, const Entry&) = default;
+  };
+
+  /// One slot of the request tally's open-addressing table: a distinct
+  /// request id and its request count; count 0 marks an empty slot.
+  struct IdCount {
+    crypto::DescriptorId id{};
+    std::int64_t count = 0;
   };
 
   ResolutionReport resolve_internal(const RequestStream& stream,
                                     const population::Population* pop) const;
 
-  /// The hot request-log join (Sec. V method): sorts the stream's
-  /// descriptor ids into `sorted` (one slot per request; `starts` is the
-  /// sort's bucket table), counts each run of equal ids, and merge-joins
-  /// the runs against the sorted dictionary, adding each resolved id's
-  /// request count to `onion_counts[slot]` (sized onions_.size()). All
-  /// storage is the caller's.
-  void tally_requests(const RequestStream& stream,
-                      std::span<crypto::DescriptorId> sorted,
-                      std::span<std::size_t> starts,
+  /// Sorts `entries` by (id, position) in place: an in-place counting
+  /// permutation on the id's top byte, then, for each of those 256
+  /// buckets in parallel, a counting scatter on the next 12 bits and a
+  /// sort of each sub-bucket (about one entry) with word compares.
+  /// (id, position) is a total order, so the result is the same at
+  /// every thread count.
+  static void ring_sort(std::span<Entry> entries, int threads);
+
+  /// The slot holding `id` in `table` (a power-of-two size, linear
+  /// probing from a hash of all 20 bytes), or the empty slot where it
+  /// belongs. The table must have an empty slot.
+  static IdCount& probe(std::span<IdCount> table,
+                        const crypto::DescriptorId& id);
+
+  /// Counts requests[from], requests[from + 1], ... into `table`
+  /// through probe() until done or until one more distinct id would
+  /// fill it past half; returns the index it stopped at, so the caller
+  /// grows the table and calls again from there.
+  /// `distinct` is the number of occupied slots.
+  static std::size_t count_request_ids(
+      std::span<const DescriptorRequest> requests, std::size_t from,
+      std::span<IdCount> table, std::size_t& distinct);
+
+  /// The join (Sec. V method): packs the counted ids of `table` to its
+  /// front, sorts them by id and merge-joins them against the sorted
+  /// dictionary, adding each resolved id's count to
+  /// `onion_counts[slot]` (sized onions_.size()). All storage is the
+  /// caller's; `table` is left reordered.
+  void tally_requests(std::span<IdCount> table,
                       std::span<std::int64_t> onion_counts,
                       ResolutionReport& report) const;
 

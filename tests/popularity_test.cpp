@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 
 #include "popularity/request_generator.hpp"
 #include "popularity/resolver.hpp"
@@ -166,6 +169,68 @@ TEST(RequestGeneratorTest, ShorterWindowFewerRequests) {
   config.window_length = util::kSecondsPerHour / 2;
   const auto small = RequestGenerator(config).generate(test_population());
   EXPECT_LT(small.real_requests, test_stream().real_requests / 2);
+}
+
+TEST(RequestGeneratorTest, RejectsEmptyOrNegativeWindow) {
+  for (const util::Seconds length : {util::Seconds{0}, util::Seconds{-3600}}) {
+    RequestGeneratorConfig config;
+    config.window_length = length;
+    EXPECT_THROW(RequestGenerator{config}, std::invalid_argument) << length;
+  }
+}
+
+TEST(RequestGeneratorTest, RejectsWindowBeyondThirtyTwoBitOffsets) {
+  RequestGeneratorConfig config;
+  config.window_length = (std::int64_t{1} << 32) + 1;
+  EXPECT_THROW(RequestGenerator{config}, std::invalid_argument);
+  config.window_length = std::int64_t{1} << 32;
+  EXPECT_NO_THROW(RequestGenerator{config});
+}
+
+TEST(RequestGeneratorTest, RejectsNanPhantomShare) {
+  RequestGeneratorConfig config;
+  config.phantom_request_share = std::nan("");
+  EXPECT_THROW(RequestGenerator{config}, std::invalid_argument);
+}
+
+TEST(RequestGeneratorTest, RejectsInfinitePhantomShare) {
+  RequestGeneratorConfig config;
+  config.phantom_request_share = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(RequestGenerator{config}, std::invalid_argument);
+}
+
+TEST(RequestGeneratorTest, RejectsNegativePhantomShare) {
+  RequestGeneratorConfig config;
+  config.phantom_request_share = -0.1;
+  EXPECT_THROW(RequestGenerator{config}, std::invalid_argument);
+}
+
+TEST(RequestGeneratorTest, RejectsPhantomShareOfOne) {
+  RequestGeneratorConfig config;
+  config.phantom_request_share = 1.0;
+  EXPECT_THROW(RequestGenerator{config}, std::invalid_argument);
+  config.phantom_request_share = 0.0;
+  EXPECT_NO_THROW(RequestGenerator{config});
+}
+
+TEST(RequestGeneratorTest, RejectsNanPhantomIdRatio) {
+  RequestGeneratorConfig config;
+  config.phantom_id_ratio = std::nan("");
+  EXPECT_THROW(RequestGenerator{config}, std::invalid_argument);
+}
+
+TEST(RequestGeneratorTest, RejectsInfinitePhantomIdRatio) {
+  RequestGeneratorConfig config;
+  config.phantom_id_ratio = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(RequestGenerator{config}, std::invalid_argument);
+}
+
+TEST(RequestGeneratorTest, RejectsNegativePhantomIdRatio) {
+  RequestGeneratorConfig config;
+  config.phantom_id_ratio = -1.0;
+  EXPECT_THROW(RequestGenerator{config}, std::invalid_argument);
+  config.phantom_id_ratio = 0.0;
+  EXPECT_NO_THROW(RequestGenerator{config});
 }
 
 // ---------------------------------------------------------------------

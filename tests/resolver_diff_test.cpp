@@ -1,12 +1,14 @@
-// Differential gate for the resolver's sorted-vector dictionary and its
-// sort + merge-join request tally: a std::map dictionary built the
-// serial way (insert every derived id in onion order, last writer wins)
-// and a map-counted join are replayed against DescriptorResolver at
-// threads 1 and 4.
+// Differential gate for the resolver's sorted-vector dictionary (ring
+// sort with parallel bucket sorts) and its hash-counted, merge-joined
+// request tally: a std::map dictionary built the serial way (insert
+// every derived id in onion order, last writer wins) and a map-counted
+// join are replayed against DescriptorResolver at threads 1 and 4, on
+// the generated stream and on adversarial ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
@@ -262,6 +264,91 @@ TEST_P(ResolverDiffTest, NonDefaultWindowsMatchMapOracle) {
     expect_same_report(resolver.resolve(test_stream()),
                        oracle.resolve(test_stream(), nullptr));
   }
+}
+
+/// A stream of `ids`, request i asking for ids[i % ids.size()] (ids
+/// repeat in turn, not in runs), one request a second.
+RequestStream stream_of(const std::vector<crypto::DescriptorId>& ids,
+                        std::size_t requests) {
+  RequestStream stream;
+  for (std::size_t i = 0; i < requests; ++i)
+    stream.requests.push_back(
+        {ids[i % ids.size()], static_cast<util::UnixTime>(1'360'000'000 + i)});
+  stream.real_requests = static_cast<std::int64_t>(requests);
+  return stream;
+}
+
+/// Resolver and map oracle over the population's onions.
+struct PopulationJoin {
+  OracleResolver oracle{population_onions()};
+  DescriptorResolver resolver;
+  explicit PopulationJoin(int threads) : resolver({.threads = threads}) {
+    resolver.build_dictionary_from_onions(population_onions());
+  }
+  void expect_same(const RequestStream& stream) const {
+    expect_same_report(resolver.resolve(stream, test_population()),
+                       oracle.resolve(stream, &test_population()));
+  }
+};
+
+TEST_P(ResolverDiffTest, OneIdRepeatedFiftyThousandTimes) {
+  const PopulationJoin join(GetParam());
+  const crypto::DescriptorId resolvable =
+      std::next(join.oracle.dictionary().begin(), 17)->first;
+  join.expect_same(stream_of({resolvable}, 50'000));
+  crypto::DescriptorId unresolvable{};
+  unresolvable.fill(0x5a);
+  join.expect_same(stream_of({unresolvable}, 50'000));
+}
+
+TEST_P(ResolverDiffTest, IdsDifferingInOneByteCountApart) {
+  // 4,096 ids that each differ from one dictionary id in a single byte:
+  // a hash of any window of raw bytes would pile them into few buckets.
+  // Counts differ per id (id k is asked k % 7 + 1 times), so a merged
+  // or dropped id changes the report.
+  const PopulationJoin join(GetParam());
+  const crypto::DescriptorId base =
+      std::next(join.oracle.dictionary().begin(), 40)->first;
+  std::vector<crypto::DescriptorId> ids{base};
+  for (std::size_t k = 0; ids.size() < 4096; ++k) {
+    crypto::DescriptorId id = base;
+    id[k % id.size()] ^= static_cast<std::uint8_t>(1 + k / id.size());
+    ids.push_back(id);
+  }
+  RequestStream stream;
+  for (std::size_t k = 0; k < ids.size(); ++k)
+    for (std::size_t r = 0; r <= k % 7; ++r)
+      stream.requests.push_back({ids[k], static_cast<util::UnixTime>(r)});
+  join.expect_same(stream);
+}
+
+TEST_P(ResolverDiffTest, RingEndIdsResolve) {
+  // The dictionary's first and last ids, and the two ends of the ring
+  // themselves (0x00... and 0xff..., not in the dictionary): the merge
+  // join must neither run off either end nor skip the end entries.
+  const PopulationJoin join(GetParam());
+  crypto::DescriptorId zero{};
+  crypto::DescriptorId ones{};
+  ones.fill(0xff);
+  join.expect_same(stream_of({join.oracle.dictionary().begin()->first,
+                              join.oracle.dictionary().rbegin()->first, zero,
+                              ones},
+                             1'000));
+  join.expect_same(stream_of({zero, ones}, 10));
+  join.expect_same(stream_of({join.oracle.dictionary().rbegin()->first}, 3));
+}
+
+TEST_P(ResolverDiffTest, StreamWithNoResolvableId) {
+  const PopulationJoin join(GetParam());
+  std::vector<crypto::DescriptorId> ids(5'000);
+  util::Rng rng(81);
+  for (crypto::DescriptorId& id : ids) rng.fill_bytes(id.data(), id.size());
+  const RequestStream stream = stream_of(ids, 20'000);
+  const ResolutionReport report = join.resolver.resolve(stream);
+  EXPECT_EQ(report.unique_descriptor_ids, 5'000);
+  EXPECT_EQ(report.resolved_descriptor_ids, 0);
+  EXPECT_TRUE(report.ranking.empty());
+  join.expect_same(stream);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ResolverDiffTest, ::testing::Values(1, 4));
