@@ -24,7 +24,8 @@ std::string onion_address_from_public_key(
     std::span<const std::uint8_t> public_key) {
   if (public_key.empty())
     throw std::invalid_argument("onion_address_from_public_key: empty key");
-  return onion_address(permanent_id_from_fingerprint(sha1(public_key)));
+  return onion_address(permanent_id_from_fingerprint(
+      sha1_finish_lanes(Sha1Midstate{}, public_key)));
 }
 
 std::string onion_address_full(const PermanentId& id) {

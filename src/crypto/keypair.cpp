@@ -2,13 +2,15 @@
 
 #include <stdexcept>
 
+#include "crypto/sha1_batch.hpp"
 #include "util/encoding.hpp"
 
 namespace torsim::crypto {
 
 KeyPair::KeyPair(std::vector<std::uint8_t> bytes)
     : public_bytes_(std::move(bytes)),
-      fingerprint_(sha1(std::span<const std::uint8_t>(public_bytes_))) {}
+      fingerprint_(sha1_finish_lanes(
+          Sha1Midstate{}, std::span<const std::uint8_t>(public_bytes_))) {}
 
 KeyPair KeyPair::generate(util::Rng& rng) {
   std::vector<std::uint8_t> bytes(kPublicKeyBytes);

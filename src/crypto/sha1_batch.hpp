@@ -11,17 +11,26 @@
 // `w[t][lane]`), so the compiler auto-vectorizes the round function
 // across lanes and one compression pass retires several digests.
 //
+// Kernels. The build targets baseline x86-64, so the lane body runs
+// portable (SSE2 on x86-64). A CPU with the SHA-NI instructions runs
+// every group through them instead, two messages interleaved, which
+// beats the lanes at every group size (docs/performance.md). The process
+// picks its kernel once, from CPUID, on first use. Every kernel yields
+// the same digests.
+//
 // The scalar `crypto::Sha1` is deliberately NOT reused here: it is the
 // reference oracle for the differential suite (tests/sha1_batch_test
-// .cpp), so this file carries its own independent compression kernel and
-// every lane result is cross-checked byte-for-byte against the scalar
-// implementation at randomized message schedules and every block-
-// boundary length. See docs/performance.md for the testing contract.
+// .cpp, tests/sha1_backend_diff_test.cpp), so this file carries its own
+// independent compression kernels and each one is cross-checked
+// byte-for-byte against the scalar implementation at randomized message
+// schedules and every block-boundary length. See docs/performance.md
+// for the testing contract.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string_view>
 
 #include "crypto/sha1.hpp"
 
@@ -32,6 +41,25 @@ namespace torsim::crypto {
 /// adds register pressure without retiring more per cycle on the
 /// hardware this targets.
 inline constexpr std::size_t kSha1Lanes = 8;
+
+/// One SHA-1 compression kernel. Production code never names one: the
+/// process's pick (sha1_backend_name) runs behind absorb() and
+/// sha1_finish_lanes. The overloads that take a Sha1Kernel run exactly
+/// that kernel, so the differential suite can check each one on any
+/// CPU that has it.
+enum class Sha1Kernel {
+  kPortable,  // lane loops: compile-time width for a full group, runtime
+              // width for a smaller one; any CPU
+  kShaNi,     // SHA-NI, two messages at a time
+};
+
+/// True when this CPU can run `kernel` (CPUID; the portable kernel
+/// always can).
+bool sha1_kernel_supported(Sha1Kernel kernel);
+
+/// The kernel this process picked: "sha-ni" when the CPU has SHA-NI,
+/// else "portable".
+std::string_view sha1_backend_name();
 
 /// A forkable SHA-1 prefix state: the digest of `prefix || suffix_i`
 /// for many suffixes shares all work over `prefix`. absorb() streams
@@ -46,14 +74,15 @@ class Sha1Midstate {
   /// Absorbs more shared-prefix bytes.
   void absorb(std::span<const std::uint8_t> data);
 
+  /// absorb() on exactly `kernel`. Throws std::invalid_argument when
+  /// the CPU lacks it.
+  void absorb(Sha1Kernel kernel, std::span<const std::uint8_t> data);
+
   /// Total prefix bytes absorbed so far.
   std::uint64_t absorbed_bytes() const { return total_bits_ / 8; }
 
  private:
-  friend void sha1_finish_lanes(
-      const Sha1Midstate& midstate,
-      std::span<const std::span<const std::uint8_t>> suffixes,
-      std::span<Sha1Digest> out);
+  friend class Sha1Finisher;
 
   std::array<std::uint32_t, 5> h_;
   std::array<std::uint8_t, 64> buffer_;
@@ -64,9 +93,20 @@ class Sha1Midstate {
 /// out[i] = SHA1(prefix || suffixes[i]) where `prefix` is the bytes
 /// absorbed into `midstate`. Suffixes may have any (mixed) lengths;
 /// they are processed in groups of kSha1Lanes, each group's blocks
-/// compressed in lock-step. `out` must be at least suffixes.size()
-/// long. The midstate itself is never modified.
+/// compressed in lock-step. Throws std::invalid_argument, writing
+/// nothing, when `out` is shorter than `suffixes`. The midstate itself
+/// is never modified.
 void sha1_finish_lanes(const Sha1Midstate& midstate,
+                       std::span<const std::span<const std::uint8_t>> suffixes,
+                       std::span<Sha1Digest> out);
+
+/// The one-message finish: SHA1(prefix || suffix).
+Sha1Digest sha1_finish_lanes(const Sha1Midstate& midstate,
+                             std::span<const std::uint8_t> suffix);
+
+/// sha1_finish_lanes on exactly `kernel`, for every group size. Throws
+/// std::invalid_argument when the CPU lacks it.
+void sha1_finish_lanes(Sha1Kernel kernel, const Sha1Midstate& midstate,
                        std::span<const std::span<const std::uint8_t>> suffixes,
                        std::span<Sha1Digest> out);
 

@@ -1,12 +1,27 @@
 #include "util/rng.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 namespace torsim::util {
 namespace {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
+}
+
+// One xoshiro256** step.
+inline std::uint64_t xoshiro_next(std::uint64_t (&s)[4]) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
 }
 
 }  // namespace
@@ -25,17 +40,7 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+std::uint64_t Rng::next() { return xoshiro_next(s_); }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
@@ -140,18 +145,30 @@ Rng Rng::child(std::uint64_t label) const {
 }
 
 void Rng::fill_bytes(std::uint8_t* out, std::size_t n) {
+  // The state stays in locals for the whole call. A store through a
+  // uint8_t* may alias s_ as far as the compiler knows, so stepping s_
+  // itself would reload and store it around every byte written.
+  std::uint64_t s[4];
+  std::memcpy(s, s_, sizeof s);
   std::size_t i = 0;
-  while (i + 8 <= n) {
-    std::uint64_t r = next();
-    for (int b = 0; b < 8; ++b) out[i++] = static_cast<std::uint8_t>(r >> (8 * b));
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t r = xoshiro_next(s);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out + i, &r, 8);
+    } else {
+      for (int b = 0; b < 8; ++b)
+        out[i + static_cast<std::size_t>(b)] =
+            static_cast<std::uint8_t>(r >> (8 * b));
+    }
   }
   if (i < n) {
-    std::uint64_t r = next();
+    std::uint64_t r = xoshiro_next(s);
     while (i < n) {
       out[i++] = static_cast<std::uint8_t>(r);
       r >>= 8;
     }
   }
+  std::memcpy(s_, s, sizeof s);
 }
 
 }  // namespace torsim::util

@@ -173,7 +173,8 @@ inline std::optional<crypto::GrindResult> grind_onion_prefix_scalar(
   for (std::uint64_t attempt = 1; attempt <= max_attempts; ++attempt) {
     crypto::KeyPair key = crypto::KeyPair::generate(rng);
     const auto onion = crypto::onion_address(
-        crypto::permanent_id_from_fingerprint(key.fingerprint()));
+        crypto::permanent_id_from_fingerprint(crypto::sha1(
+            std::span<const std::uint8_t>(key.public_bytes()))));
     if (util::starts_with(onion, prefix))
       return crypto::GrindResult{std::move(key), attempt};
   }
@@ -190,7 +191,8 @@ inline std::optional<attack::GrindResult> grind_key_after_scalar(
   const crypto::U160 target_value(target);
   for (std::uint64_t attempt = 1; attempt <= max_attempts; ++attempt) {
     crypto::KeyPair key = crypto::KeyPair::generate(rng);
-    const crypto::U160 fp(key.fingerprint());
+    const crypto::U160 fp(
+        crypto::sha1(std::span<const std::uint8_t>(key.public_bytes())));
     if (fp == target_value) continue;  // need strictly after
     const double distance =
         fp.ring_distance_from(target_value).to_double();

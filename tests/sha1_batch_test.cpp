@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,21 @@ TEST(Sha1BatchTest, MidstateBoundaryPrefixes) {
   }
 }
 
+TEST(Sha1BatchTest, ShortOutputThrows) {
+  // An `out` shorter than the suffix list is rejected before any digest
+  // is written, not overrun.
+  const Bytes message(30, 0x5A);
+  const std::vector<std::span<const std::uint8_t>> suffixes(
+      3, std::span<const std::uint8_t>(message));
+  std::vector<Sha1Digest> out(3, Sha1Digest{});
+  EXPECT_THROW(sha1_finish_lanes(Sha1Midstate{}, suffixes,
+                                 std::span<Sha1Digest>(out.data(), 2)),
+               std::invalid_argument);
+  EXPECT_EQ(out[0], Sha1Digest{});
+  EXPECT_NO_THROW(sha1_finish_lanes(Sha1Midstate{}, suffixes, out));
+  EXPECT_EQ(out[2], scalar_sha1(message, {}));
+}
+
 TEST(Sha1BatchTest, MidstateForkPurity) {
   // Finishing never mutates the midstate: repeated finishes — with
   // different suffix sets in between — keep producing the digests a
@@ -197,10 +213,12 @@ TEST(Sha1BatchTest, RandomizedMidstateSchedulesMatchScalar) {
   }
 }
 
-// Full groups of exactly kSha1Lanes messages run the compile-time-width
-// kernel; any other group size runs the runtime-width loop. These pin
-// both by shape against scalar crypto::sha1, each over fresh random
-// messages per trial.
+// Full groups of exactly kSha1Lanes messages run the portable kernel at
+// compile-time width, any other group size at runtime width; SHA-NI
+// takes both on a CPU that has it. These pin both shapes through this
+// CPU's pick against scalar crypto::sha1, each over fresh random
+// messages per trial; sha1_backend_diff_test.cpp checks every kernel
+// directly.
 void expect_equal_length_batches_match_sha1(std::uint64_t seed,
                                             std::size_t count,
                                             std::size_t length) {
@@ -229,7 +247,7 @@ TEST(Sha1BatchTest, FullWidthCombineShapeMatchesScalar) {
 }
 
 TEST(Sha1BatchTest, PartialGroupKeyShapeMatchesScalar) {
-  // One lane short of full width stays on the runtime-width loop.
+  // One lane short of full width: the portable runtime-width loop.
   expect_equal_length_batches_match_sha1(411, kSha1Lanes - 1,
                                          kPublicKeyBytes);
 }

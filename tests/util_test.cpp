@@ -97,6 +97,26 @@ TEST(RngTest, DifferentSeedsDiffer) {
   EXPECT_LT(equal, 3);
 }
 
+TEST(RngTest, FillBytesMatchesNextWords) {
+  // fill_bytes(n) writes successive next() words little-endian, the
+  // last word cut to the bytes that fit, and leaves the stream
+  // ceil(n / 8) words on.
+  for (std::size_t n = 0; n <= 150; ++n) {
+    Rng filled(77 + n);
+    Rng words = filled;
+    std::vector<std::uint8_t> bytes(n + 1, 0xAB);
+    filled.fill_bytes(bytes.data(), n);
+    for (std::size_t i = 0; i < n; i += 8) {
+      const std::uint64_t word = words.next();
+      for (std::size_t b = 0; b < 8 && i + b < n; ++b)
+        ASSERT_EQ(bytes[i + b], static_cast<std::uint8_t>(word >> (8 * b)))
+            << "n " << n << " byte " << i + b;
+    }
+    EXPECT_EQ(bytes[n], 0xAB) << "n " << n << ": wrote past the end";
+    EXPECT_EQ(filled.next(), words.next()) << "n " << n;
+  }
+}
+
 TEST(RngTest, UniformIntBounds) {
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
