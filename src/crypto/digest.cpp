@@ -60,8 +60,9 @@ std::uint32_t time_period(util::UnixTime t, const PermanentId& id) {
 
 namespace {
 
-// Ids derived by descriptor_id and descriptor_ids_for_period, read by
-// the torbench harness (see derivation_cache_stats).
+// Ids derived by descriptor_id, descriptor_ids_for_period and
+// descriptor_ids_for_periods, read by the torbench harness (see
+// derivation_cache_stats).
 util::CacheCounters& derivation_counters() {
   static util::CacheCounters counters;
   return counters;
@@ -182,6 +183,7 @@ void descriptor_ids_for_periods(const PermanentId& id,
   if (out.size() < secrets.size())
     throw std::invalid_argument(
         "descriptor_ids_for_periods: output shorter than secrets");
+  derivation_counters().miss(secrets.size());
   combine_lanes(id, secrets, out);
 }
 

@@ -106,15 +106,15 @@ std::vector<Sha1Digest> secret_id_parts(
 /// midstate — so a caller deriving many services over one period range
 /// hashes each secret once per table, not once per service. Used by the
 /// resolver's dictionary builder. `out` must hold secrets.size() ids
-/// (std::invalid_argument otherwise). Not counted in
-/// derivation_cache_stats.
+/// (std::invalid_argument otherwise). Counts secrets.size() derivations
+/// in derivation_cache_stats.
 void descriptor_ids_for_periods(const PermanentId& id,
                                 std::span<const Sha1Digest> secrets,
                                 std::span<DescriptorId> out);
 
-/// Ids derived by descriptor_id and descriptor_ids_for_period since the
-/// last reset, recorded as misses (hits are always 0: there is no
-/// cache). Perf telemetry read by the torbench harness under its old
+/// Ids derived by descriptor_id, descriptor_ids_for_period and
+/// descriptor_ids_for_periods since the last reset, recorded as misses
+/// (hits are always 0: there is no cache). Perf telemetry read by the torbench harness under its old
 /// cache name; it stays until a sanctioned benchmark change.
 util::CacheStats derivation_cache_stats();
 void reset_derivation_cache_stats();

@@ -143,23 +143,23 @@ void DescriptorResolver::ring_sort(std::span<Entry> entries, int threads) {
 
 void DescriptorResolver::build_dictionary(
     const population::Population& pop) {
-  std::vector<std::string> onions;
-  onions.reserve(pop.size());
-  for (const population::Population::ServiceRef svc : pop.services())
-    onions.emplace_back(svc.onion());
-  build_dictionary_from_onions(onions);
+  std::vector<crypto::PermanentId> onions(pop.size());
+  for (population::ServiceId id = 0; id < onions.size(); ++id)
+    onions[id] = pop.permanent_id(id);
+  build_dictionary(onions);
 }
 
-void DescriptorResolver::build_dictionary_from_onions(
-    const std::vector<std::string>& onions) {
+void DescriptorResolver::build_dictionary(
+    std::span<const crypto::PermanentId> onions) {
   // The SHA-1 derivations per onion are independent: fan them out into
   // per-onion slots of the dictionary (onion-major, then period-major,
   // replica-minor — the order the serial per-period loop produced). Each
-  // entry carries its onion's input position until the sort: ordered by
-  // (id, position), the last entry of each equal-id run is the last
-  // writer in input order — the rule of a serial map insert. The
-  // time-period function shifts per-service, so derive once per day in
-  // the window; duplicate ids are dropped below.
+  // entry carries its onion's input position: ordered by (id, position),
+  // the last entry of each equal-id run is the last writer in input
+  // order — the rule of a serial map insert. A repeated onion derives
+  // the same ids at each of its positions, so its last position owns
+  // them all. The time-period function shifts per-service, so derive
+  // once per day in the window; duplicate ids are dropped below.
   std::vector<util::UnixTime> days;
   for (util::UnixTime t = config_.derive_from; t < config_.derive_to;
        t += util::kSecondsPerDay)
@@ -181,7 +181,7 @@ void DescriptorResolver::build_dictionary_from_onions(
     const std::vector<crypto::Sha1Digest> secrets = crypto::secret_id_parts(
         first_period, std::size_t{last_period - first_period} + 1);
     util::parallel_for(onions.size(), config_.threads, [&](std::size_t index) {
-      const auto pid = crypto::parse_onion_address(onions[index]);
+      const crypto::PermanentId& pid = onions[index];
       const std::size_t offset =
           (crypto::time_period(days.front(), pid) - first_period) * replicas;
       std::array<crypto::DescriptorId, kDerivedRun> ids;
@@ -197,16 +197,7 @@ void DescriptorResolver::build_dictionary_from_onions(
     });
   }
 
-  // Interning happens here, in the serial fold — never in the parallel
-  // derivation above (the interner's contract, docs/data-layout.md).
-  std::vector<util::StringInterner::Id> interned;
-  interned.reserve(onions.size());
-  for (const std::string& onion : onions)
-    interned.push_back(util::global_interner().intern(onion));
-  onions_ = interned;
-  std::sort(onions_.begin(), onions_.end());
-  onions_.erase(std::unique(onions_.begin(), onions_.end()), onions_.end());
-
+  onions_.assign(onions.begin(), onions.end());
   ring_sort(dictionary_, config_.threads);
   std::size_t kept = 0;
   for (const Entry& entry : dictionary_) {
@@ -214,13 +205,6 @@ void DescriptorResolver::build_dictionary_from_onions(
     dictionary_[kept++] = entry;
   }
   dictionary_.resize(kept);
-  // Input position -> onion slot.
-  std::vector<std::uint32_t> slot_of(interned.size());
-  for (std::size_t i = 0; i < interned.size(); ++i)
-    slot_of[i] = static_cast<std::uint32_t>(
-        std::lower_bound(onions_.begin(), onions_.end(), interned[i]) -
-        onions_.begin());
-  for (Entry& entry : dictionary_) entry.onion = slot_of[entry.onion];
 
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& m = *config_.metrics;
@@ -239,7 +223,7 @@ std::optional<std::string> DescriptorResolver::resolve_id(
         return e.id < key;
       });
   if (it == dictionary_.end() || it->id != id) return std::nullopt;
-  return std::string(util::global_interner().view(onions_[it->onion]));
+  return crypto::onion_address(onions_[it->onion]);
 }
 
 ResolutionReport DescriptorResolver::resolve(
@@ -329,17 +313,16 @@ ResolutionReport DescriptorResolver::resolve_internal(
   std::vector<std::int64_t> onion_counts(onions_.size(), 0);
   tally_requests(table, onion_counts, report);
 
-  // Slot order is intern-id order, not lexicographic — harmless: the
-  // sort below totally orders rows by (requests, onion).
+  // Slot order is input order, not lexicographic — harmless: the sort
+  // below totally orders rows by (requests, onion).
   for (std::size_t slot = 0; slot < onions_.size(); ++slot) {
     const std::int64_t count = onion_counts[slot];
     if (count == 0) continue;
-    const std::string_view onion = util::global_interner().view(onions_[slot]);
     RankedService row;
-    row.onion = std::string(onion);
+    row.onion = crypto::onion_address(onions_[slot]);
     row.requests = count;
     if (pop != nullptr) {
-      if (const auto svc = pop->find(onion)) {
+      if (const auto svc = pop->find(onions_[slot])) {
         row.label = std::string(svc->label());
         row.paper_alias = std::string(svc->paper_alias());
         row.paper_rank = svc->paper_rank();

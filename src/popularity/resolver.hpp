@@ -14,9 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "crypto/digest.hpp"
 #include "obs/metrics.hpp"
 #include "popularity/request_generator.hpp"
-#include "util/interner.hpp"
 
 namespace torsim::popularity {
 
@@ -69,10 +69,12 @@ class DescriptorResolver {
   /// collected addresses regardless of later availability).
   void build_dictionary(const population::Population& pop);
 
-  /// Builds the dictionary from bare onion addresses — exactly the
-  /// paper's method: nothing but the harvested address list is needed
-  /// to derive every descriptor ID in the window.
-  void build_dictionary_from_onions(const std::vector<std::string>& onions);
+  /// Builds the dictionary from the permanent ids of bare onion
+  /// addresses — exactly the paper's method: nothing but the harvested
+  /// address list is needed to derive every descriptor ID in the
+  /// window. A repeated id keeps its last position; its earlier copies
+  /// resolve nothing.
+  void build_dictionary(std::span<const crypto::PermanentId> onions);
 
   /// Resolves a request stream and produces the ranking. `pop` (when
   /// provided) only supplies ground-truth labels for the report.
@@ -87,7 +89,7 @@ class DescriptorResolver {
 
  private:
   /// One dictionary row: a derived descriptor id and the slot of the
-  /// onion it resolves to (an index into onions_).
+  /// onion it resolves to (its input position, an index into onions_).
   struct Entry {
     crypto::DescriptorId id;
     std::uint32_t onion = 0;
@@ -140,10 +142,9 @@ class DescriptorResolver {
   /// derived id: binary-searched by resolve_id, merge-joined by the
   /// tally.
   std::vector<Entry> dictionary_;
-  /// Onion slot -> id into util::global_interner(), ascending and
-  /// distinct: the dictionary keeps one 4-byte handle per onion instead
-  /// of ~12 owned copies of every onion string (one per derivation day).
-  std::vector<util::StringInterner::Id> onions_;
+  /// The input permanent ids in input order; rendered as onion text
+  /// only for the rows of a report.
+  std::vector<crypto::PermanentId> onions_;
 };
 
 }  // namespace torsim::popularity

@@ -98,10 +98,32 @@ const char* to_string(ServiceClass klass) {
 }
 
 std::optional<Population::ServiceRef> Population::find(
-    std::string_view onion) const {
-  const auto it = by_onion_.find(onion);
-  if (it == by_onion_.end()) return std::nullopt;
+    const crypto::PermanentId& id) const {
+  const auto it = std::lower_bound(
+      by_id_.begin(), by_id_.end(), id,
+      [](const auto& entry, const crypto::PermanentId& key) {
+        return entry.first < key;
+      });
+  if (it == by_id_.end() || it->first != id) return std::nullopt;
   return ServiceRef(this, it->second);
+}
+
+std::optional<Population::ServiceRef> Population::find(
+    std::string_view onion) const {
+  crypto::PermanentId id{};
+  try {
+    id = crypto::parse_onion_address(onion);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;  // malformed text names no service
+  }
+  return find(id);
+}
+
+Population::TextId Population::text_id(std::string_view text) {
+  const auto it = std::find(texts_.begin(), texts_.end(), text);
+  if (it != texts_.end()) return static_cast<TextId>(it - texts_.begin());
+  texts_.emplace_back(text);
+  return static_cast<TextId>(texts_.size() - 1);
 }
 
 std::vector<ServiceId> Population::of_class(ServiceClass klass) const {
@@ -124,12 +146,12 @@ Population::MemoryFootprint Population::memory_footprint() const {
   };
   MemoryFootprint f;
   f.services = size();
-  f.column_bytes = column(keys_) + column(onions_) + column(klasses_) +
-                   column(labels_) + column(aliases_) + column(profiles_) +
-                   column(topics_) + column(languages_) +
-                   column(published_at_scan_) + column(daily_availability_) +
-                   column(alive_at_crawl_) + column(requests_per_2h_) +
-                   column(paper_ranks_) + column(physical_servers_);
+  f.column_bytes = column(keys_) + column(klasses_) + column(labels_) +
+                   column(aliases_) + column(profiles_) + column(topics_) +
+                   column(languages_) + column(published_at_scan_) +
+                   column(daily_availability_) + column(alive_at_crawl_) +
+                   column(requests_per_2h_) + column(paper_ranks_) +
+                   column(physical_servers_);
   return f;
 }
 
@@ -143,17 +165,15 @@ class Population::MutableRef {
   MutableRef(Population* pop, ServiceId id) : pop_(pop), id_(id) {}
 
   ServiceId index() const { return id_; }
-  std::string_view onion() const { return pop_->onion(id_); }
+  std::string onion() const { return pop_->onion(id_); }
   net::ServiceProfile& profile() { return pop_->profiles_[id_]; }
   content::Topic topic() const { return pop_->topics_[id_]; }
   content::Language language() const { return pop_->languages_[id_]; }
   int physical_server() const { return pop_->physical_servers_[id_]; }
 
-  void set_label(std::string_view v) {
-    pop_->labels_[id_] = util::global_interner().intern(v);
-  }
+  void set_label(std::string_view v) { pop_->labels_[id_] = pop_->text_id(v); }
   void set_paper_alias(std::string_view v) {
-    pop_->aliases_[id_] = util::global_interner().intern(v);
+    pop_->aliases_[id_] = pop_->text_id(v);
   }
   void set_topic(content::Topic t) { pop_->topics_[id_] = t; }
   void set_language(content::Language l) { pop_->languages_[id_] = l; }
@@ -178,15 +198,13 @@ Population Population::generate(const PopulationConfig& config) {
   util::Rng rng(config.seed);
   content::PageGenerator pages;
   const double s = config.scale;
-  util::StringInterner& interner = util::global_interner();
-  const util::StringInterner::Id empty_id = interner.intern("");
 
-  // Satellite fix: the legacy builder reserved only by_onion_; the
-  // column vectors grew by doubling. The section counts below are all
-  // deterministic functions of the scale, so the exact final size is
-  // known up front: the inflated class counts (sections 1–8), topped up
-  // by section 9 to the paper's 39,824-service total when that is
-  // larger (it is at every non-degenerate scale).
+  // The columns are reserved exactly, never grown by doubling. The
+  // section counts below are all deterministic functions of the scale,
+  // so the exact final size is known up front: the inflated class
+  // counts (sections 1–8), topped up by section 9 to the paper's
+  // 39,824-service total when that is larger (it is at every
+  // non-degenerate scale).
   const std::int64_t pinned =
       static_cast<std::int64_t>(table2_rows().size()) +
       std::max<std::int64_t>(1, std::llround(15 * s));
@@ -197,7 +215,6 @@ Population Population::generate(const PopulationConfig& config) {
   const std::size_t expected_total = static_cast<std::size_t>(
       std::max<std::int64_t>(pinned + inflated, std::llround(39824 * s)));
   pop.keys_.reserve(expected_total);
-  pop.onions_.reserve(expected_total);
   pop.klasses_.reserve(expected_total);
   pop.labels_.reserve(expected_total);
   pop.aliases_.reserve(expected_total);
@@ -214,13 +231,10 @@ Population Population::generate(const PopulationConfig& config) {
   const auto add_service = [&](ServiceClass klass,
                                crypto::KeyPair key) -> MutableRef {
     const ServiceId id = static_cast<ServiceId>(pop.keys_.size());
-    const std::string onion = crypto::onion_address(
-        crypto::permanent_id_from_fingerprint(key.fingerprint()));
     pop.keys_.push_back(std::move(key));
-    pop.onions_.push_back(interner.intern(onion));
     pop.klasses_.push_back(klass);
-    pop.labels_.push_back(empty_id);
-    pop.aliases_.push_back(empty_id);
+    pop.labels_.push_back(0);
+    pop.aliases_.push_back(0);
     pop.profiles_.emplace_back();
     pop.topics_.push_back(content::Topic::kOther);
     pop.languages_.push_back(content::Language::kEnglish);
@@ -487,7 +501,7 @@ Population Population::generate(const PopulationConfig& config) {
         cert.self_signed = true;
         cert.matches_requested_host = false;
       } else {
-        cert.common_name = std::string(svc.onion()) + ".onion";
+        cert.common_name = svc.onion() + ".onion";
         cert.self_signed = true;
         cert.matches_requested_host = true;
       }
@@ -615,10 +629,10 @@ Population Population::generate(const PopulationConfig& config) {
     }
   }
 
-  pop.by_onion_.reserve(pop.keys_.size());
-  for (std::size_t i = 0; i < pop.onions_.size(); ++i)
-    pop.by_onion_.emplace(interner.view(pop.onions_[i]),
-                          static_cast<ServiceId>(i));
+  pop.by_id_.reserve(pop.keys_.size());
+  for (ServiceId id = 0; id < pop.keys_.size(); ++id)
+    pop.by_id_.emplace_back(pop.permanent_id(id), id);
+  std::sort(pop.by_id_.begin(), pop.by_id_.end());
   return pop;
 }
 

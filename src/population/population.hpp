@@ -11,15 +11,18 @@
 // Storage is structure-of-arrays (ROADMAP item 3, docs/data-layout.md):
 // one column per field, addressed by dense ServiceId. Identity is the
 // index — stable for the population's lifetime and across copies/moves —
-// never a pointer or an owning string. Onion addresses, labels, and
-// paper aliases live in util::global_interner(); the columns carry
-// 4-byte intern ids and the facade hands out string_views at the edges.
+// never a pointer or an owning string. A service's onion address is
+// not stored: it is the base32 of the permanent id, the first 10 bytes
+// of its key's fingerprint, rendered on demand. Labels and paper
+// aliases are small indices into the population's own text table, so
+// copies and moves carry their own strings.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "content/page_generator.hpp"
@@ -28,7 +31,6 @@
 #include "crypto/keypair.hpp"
 #include "net/service.hpp"
 #include "population/paper_constants.hpp"
-#include "util/interner.hpp"
 #include "util/rng.hpp"
 
 namespace torsim::population {
@@ -78,8 +80,8 @@ class Population {
    public:
     ServiceId index() const { return id_; }
     const crypto::KeyPair& key() const { return pop_->keys_[id_]; }
-    /// 16-char base32 (derived from key); view into the intern table.
-    std::string_view onion() const { return pop_->onion(id_); }
+    /// 16-char base32 of the permanent id, rendered per call.
+    std::string onion() const { return pop_->onion(id_); }
     ServiceClass klass() const { return pop_->klasses_[id_]; }
     /// "Goldnet", "SilkRoad", "" for generic.
     std::string_view label() const { return pop_->label(id_); }
@@ -154,7 +156,11 @@ class Population {
 
   std::size_t size() const { return keys_.size(); }
 
-  /// Lookup by onion address (nullopt if unknown).
+  /// Lookup by permanent id (nullopt if unknown).
+  std::optional<ServiceRef> find(const crypto::PermanentId& id) const;
+  /// Lookup by onion address in any spelling parse_onion_address
+  /// accepts (either case, with or without ".onion"); nullopt for
+  /// unknown or malformed text. Never throws on bad input.
   std::optional<ServiceRef> find(std::string_view onion) const;
 
   /// Ids of all services of a class, ascending.
@@ -164,14 +170,15 @@ class Population {
   std::size_t published_count() const;
 
   /// Direct column reads for hot loops that already hold an id.
-  std::string_view onion(ServiceId id) const {
-    return util::global_interner().view(onions_[id]);
+  crypto::PermanentId permanent_id(ServiceId id) const {
+    return crypto::permanent_id_from_fingerprint(keys_[id].fingerprint());
   }
-  std::string_view label(ServiceId id) const {
-    return util::global_interner().view(labels_[id]);
+  std::string onion(ServiceId id) const {
+    return crypto::onion_address(permanent_id(id));
   }
+  std::string_view label(ServiceId id) const { return texts_[labels_[id]]; }
   std::string_view paper_alias(ServiceId id) const {
-    return util::global_interner().view(aliases_[id]);
+    return texts_[aliases_[id]];
   }
 
   /// The one sanctioned post-build mutation (test harnesses zero the
@@ -200,13 +207,18 @@ class Population {
   /// never dangles (no references into vectors are held anywhere).
   class MutableRef;
 
+  /// Index into texts_.
+  using TextId = std::uint16_t;
+
+  /// The index of `text` in texts_, appending it on first sight.
+  TextId text_id(std::string_view text);
+
   PopulationConfig config_;
   // One column per legacy ServiceRecord field, indexed by ServiceId.
   std::vector<crypto::KeyPair> keys_;
-  std::vector<util::StringInterner::Id> onions_;
   std::vector<ServiceClass> klasses_;
-  std::vector<util::StringInterner::Id> labels_;
-  std::vector<util::StringInterner::Id> aliases_;
+  std::vector<TextId> labels_;
+  std::vector<TextId> aliases_;
   std::vector<net::ServiceProfile> profiles_;
   std::vector<content::Topic> topics_;
   std::vector<content::Language> languages_;
@@ -216,9 +228,12 @@ class Population {
   std::vector<double> requests_per_2h_;
   std::vector<std::int32_t> paper_ranks_;
   std::vector<std::int32_t> physical_servers_;
-  /// Lookup-only index (never iterated): hash map is safe and fast.
-  /// Keys are interner views, stable for the process lifetime.
-  std::unordered_map<std::string_view, ServiceId> by_onion_;
+  /// The distinct label and alias texts: the generator's fixed class
+  /// labels and Table II aliases, a few dozen in all. Index 0 is "".
+  std::vector<std::string> texts_{std::string()};
+  /// (permanent id, id) for every service, sorted: find() binary-
+  /// searches it, and a repeated permanent id finds its lowest id.
+  std::vector<std::pair<crypto::PermanentId, ServiceId>> by_id_;
 };
 
 }  // namespace torsim::population

@@ -1,50 +1,37 @@
 #include "scan/port_scanner.hpp"
 
 #include "scan/schedule.hpp"
-#include "util/interner.hpp"
 #include "util/parallel.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <string>
 
 namespace torsim::scan {
 
 namespace {
 
-/// Fig. 1 bar label for a port, backed by the global intern table: the
-/// format + annotate work runs once per distinct port per process (the
-/// old code rebuilt a std::to_string temporary on every figure1 call).
-std::string_view port_label(std::uint16_t port) {
-  std::string_view suffix;
+/// Fig. 1 bar label for a port: its digits, annotated for the ports
+/// the paper names.
+std::string port_label(std::uint16_t port) {
+  std::string label = std::to_string(port);
   switch (port) {
-    case net::kPortSkynet: suffix = "-Skynet"; break;
-    case net::kPortHttp: suffix = "-http"; break;
-    case net::kPortHttps: suffix = "-https"; break;
-    case net::kPortSsh: suffix = "-ssh"; break;
-    case net::kPortTorChat: suffix = "-TorChat"; break;
-    case net::kPortIrc: suffix = "-irc"; break;
+    case net::kPortSkynet: label += "-Skynet"; break;
+    case net::kPortHttp: label += "-http"; break;
+    case net::kPortHttps: label += "-https"; break;
+    case net::kPortSsh: label += "-ssh"; break;
+    case net::kPortTorChat: label += "-TorChat"; break;
+    case net::kPortIrc: label += "-irc"; break;
     default: break;
   }
-  char buf[32];
-  int len = std::snprintf(buf, sizeof buf, "%u", port);
-  // An unannotated port's empty suffix has a null data(); memcpy from
-  // it is undefined even for zero bytes.
-  if (!suffix.empty()) {
-    std::memcpy(buf + len, suffix.data(), suffix.size());
-    len += static_cast<int>(suffix.size());
-  }
-  util::StringInterner& interner = util::global_interner();
-  return interner.view(
-      interner.intern(std::string_view(buf, static_cast<std::size_t>(len))));
+  return label;
 }
 
 }  // namespace
 
-std::vector<std::pair<std::string_view, std::int64_t>> ScanReport::figure1(
+std::vector<std::pair<std::string, std::int64_t>> ScanReport::figure1(
     std::int64_t threshold) const {
   auto [kept, other] = open_ports.with_other_bucket(threshold);
-  std::vector<std::pair<std::string_view, std::int64_t>> rows;
+  std::vector<std::pair<std::string, std::int64_t>> rows;
   rows.reserve(kept.size() + 1);
   for (const auto& [port, count] : kept)
     rows.emplace_back(port_label(port), count);
@@ -89,7 +76,8 @@ ScanReport PortScanner::scan(const population::Population& pop) const {
     if (!svc.published_at_scan()) return out;
     out.scanned = true;
     util::Rng rng = base.child(index);
-    const std::uint64_t onion_key = fault::FaultInjector::key_of(svc.onion());
+    const std::string onion = svc.onion();
+    const std::uint64_t onion_key = fault::FaultInjector::key_of(onion);
 
     // Which scan days is this host up on? Drawn once per host so a host
     // that died mid-window misses every range scanned after its death.
@@ -163,7 +151,7 @@ ScanReport PortScanner::scan(const population::Population& pop) const {
         continue;
       }
       PortObservation obs;
-      obs.onion = std::string(svc.onion());
+      obs.onion = onion;
       obs.port = port;
       obs.result = result;
       obs.scan_day = day;

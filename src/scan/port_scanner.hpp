@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -92,9 +91,7 @@ struct ScanReport {
 
   /// Fig. 1 rendering: ports with >= `threshold` hits, descending, plus
   /// an "other" bucket (the paper used threshold 50 at full scale).
-  /// Labels are views into the global intern table — formatted once per
-  /// distinct port for the process lifetime, not per call.
-  std::vector<std::pair<std::string_view, std::int64_t>> figure1(
+  std::vector<std::pair<std::string, std::int64_t>> figure1(
       std::int64_t threshold) const;
 };
 

@@ -13,7 +13,6 @@ std::string_view StringInterner::store(std::string_view text) {
     const std::size_t need = std::max(text.size(), kBlockBytes);
     blocks_.push_back(std::make_unique<char[]>(need));
     block_size_ = need;
-    block_bytes_ += need;
     block_used_ = 0;
   }
   char* dst = blocks_.back().get() + block_used_;
@@ -29,31 +28,7 @@ StringInterner::Id StringInterner::intern(std::string_view text) {
   const std::string_view stable = store(text);
   views_.push_back(stable);
   index_.emplace(stable, id);
-  string_bytes_ += text.size();
   return id;
-}
-
-std::optional<StringInterner::Id> StringInterner::find(
-    std::string_view text) const {
-  const auto it = index_.find(text);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::size_t StringInterner::bytes() const {
-  // Chunk payloads + per-id view + one index slot per string. The index
-  // estimate charges a bucket pointer and a node (view + id + next)
-  // per entry — close enough for the telemetry this feeds.
-  const std::size_t chunk_bytes = block_bytes_;
-  const std::size_t view_bytes = views_.capacity() * sizeof(std::string_view);
-  const std::size_t index_bytes =
-      index_.size() * (sizeof(std::string_view) + sizeof(Id) + 2 * sizeof(void*));
-  return chunk_bytes + view_bytes + index_bytes;
-}
-
-StringInterner& global_interner() {
-  static StringInterner interner;
-  return interner;
 }
 
 }  // namespace torsim::util

@@ -1,27 +1,18 @@
-// Deterministic string interning for the data-oriented population
-// (ROADMAP item 3, docs/data-layout.md).
+// Append-only byte-string table behind hsdir::KeyTable: each distinct
+// service public key is stored once and named by a dense 4-byte id.
 //
-// The SoA columns in population/ and popularity/ replace owning
-// std::strings with 4-byte ids into one process-wide table: onion
-// addresses, class labels, paper aliases. Ids are handed out in
-// insertion order, so for a fixed generation sequence every run — at
-// any --threads value — assigns identical ids (interning happens only
-// in serial sections; the parallel kernels read views, never intern).
+// Ids are handed out in insertion order, so a fixed sequence of
+// inserts assigns identical ids on every run. Storage is chunked: a
+// returned std::string_view stays valid for the interner's lifetime,
+// across later inserts (tests/data_layout_test.cpp pins both
+// properties).
 //
-// Storage is chunked and append-only: a returned std::string_view stays
-// valid for the interner's lifetime, which for global_interner() is the
-// process. That stability is what lets Population key its lookup index
-// by string_view and lets callers hold views across further inserts
-// (tests/data_layout_test.cpp pins both properties).
-//
-// Not thread-safe by contract: intern() only from serial sections.
-// Lookups (find/view) are const and safe to share once the serial
-// build section is done.
+// Not thread-safe: intern() only from serial sections; view() and
+// size() are const and safe to share once inserts are done.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -33,30 +24,16 @@ class StringInterner {
   /// Insertion-ordered id; dense from 0.
   using Id = std::uint32_t;
 
-  /// Returned by try_find on unknown text; never a valid id.
-  static constexpr Id kInvalidId = 0xffffffffu;
-
   /// The id for `text`, inserting it on first sight. Views previously
   /// returned by view() stay valid across the insert (chunked storage
   /// never reallocates filled blocks).
   Id intern(std::string_view text);
-
-  /// The id for `text` if it was ever interned (no insertion).
-  std::optional<Id> find(std::string_view text) const;
 
   /// The interned bytes behind `id`. Valid for the interner's lifetime.
   std::string_view view(Id id) const { return views_[id]; }
 
   /// Number of distinct strings interned.
   std::size_t size() const { return views_.size(); }
-
-  /// Approximate resident footprint: chunk storage plus the id vector
-  /// and hash-index overheads (the "interner_bytes" telemetry in the
-  /// BENCH JSON "population" section).
-  std::size_t bytes() const;
-
-  /// Total bytes of interned string payloads (deduplicated).
-  std::size_t string_bytes() const { return string_bytes_; }
 
  private:
   static constexpr std::size_t kBlockBytes = 64 * 1024;
@@ -67,17 +44,10 @@ class StringInterner {
   std::vector<std::unique_ptr<char[]>> blocks_;
   std::size_t block_used_ = 0;   ///< bytes used in blocks_.back()
   std::size_t block_size_ = 0;   ///< capacity of blocks_.back()
-  std::size_t block_bytes_ = 0;  ///< total bytes allocated across blocks
   std::vector<std::string_view> views_;  ///< id -> stable view
   /// Lookup-only index (never iterated): hash map is safe and fast.
   /// Keys are views into blocks_, so they never dangle.
   std::unordered_map<std::string_view, Id> index_;
-  std::size_t string_bytes_ = 0;
 };
-
-/// The process-wide intern table shared by population/popularity/scan.
-/// Serial-section use only (see the header comment); detlint carries an
-/// allowlist entry with the sharding rationale.
-StringInterner& global_interner();
 
 }  // namespace torsim::util

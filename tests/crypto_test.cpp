@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "crypto/digest.hpp"
 #include "crypto/grind.hpp"
@@ -411,6 +414,27 @@ TEST(DerivationStatsTest, CountsDerivedIdsAsMisses) {
   EXPECT_EQ(stats.lookups(), 2u + kNumReplicas);
   reset_derivation_cache_stats();
   EXPECT_EQ(derivation_cache_stats().lookups(), 0u);
+}
+
+TEST(DerivationStatsTest, BatchedCallCountsEverySecret) {
+  // descriptor_ids_for_periods derives one id per secret, so a call over
+  // n secrets adds exactly n; a call it rejects adds nothing.
+  PermanentId pid{};
+  pid[0] = 0x42;
+  const std::vector<Sha1Digest> secrets = secret_id_parts(15740, 7);
+  std::vector<DescriptorId> out(secrets.size());
+  reset_derivation_cache_stats();
+  descriptor_ids_for_periods(pid, secrets, out);
+  EXPECT_EQ(derivation_cache_stats().lookups(), secrets.size());
+  descriptor_ids_for_periods(pid, std::span(secrets).first(3),
+                             std::span(out).first(3));
+  EXPECT_EQ(derivation_cache_stats().lookups(), secrets.size() + 3);
+  EXPECT_THROW(descriptor_ids_for_periods(pid, secrets,
+                                          std::span(out).first(2)),
+               std::invalid_argument);
+  EXPECT_EQ(derivation_cache_stats().lookups(), secrets.size() + 3);
+  EXPECT_EQ(derivation_cache_stats().hits, 0u);
+  reset_derivation_cache_stats();
 }
 
 // ---------------------------------------------------------------------

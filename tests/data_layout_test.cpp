@@ -1,8 +1,8 @@
 // Pins the data-oriented layout contracts (docs/data-layout.md): the
-// global string interner's determinism and view stability, the
+// key table's string interner (determinism and view stability), the
 // Population facade's exact column reserves, handle (not reference)
-// identity and peak-RSS budget, and the interned Fig. 1 port labels
-// feeding the scan CSV.
+// identity and peak-RSS budget, and the Fig. 1 port labels next to the
+// scan CSV.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,7 +38,7 @@ namespace {
 constexpr util::UnixTime kT0 = 1360800000;  // 2013-02-14
 
 // ---------------------------------------------------------------------
-// util::StringInterner (satellite: interner coverage)
+// util::StringInterner (hsdir::KeyTable's storage)
 // ---------------------------------------------------------------------
 
 TEST(StringInternerTest, IdsAreDenseAndInsertionOrdered) {
@@ -74,10 +74,7 @@ TEST(StringInternerTest, RoundTripProperty) {
   for (std::size_t i = 0; i < texts.size(); ++i) {
     EXPECT_EQ(interner.view(ids[i]), texts[i]);
     EXPECT_EQ(interner.intern(texts[i]), ids[i]);
-    ASSERT_TRUE(interner.find(texts[i]).has_value());
-    EXPECT_EQ(*interner.find(texts[i]), ids[i]);
   }
-  EXPECT_FALSE(interner.find("never-interned").has_value());
 }
 
 TEST(StringInternerTest, EmptyStringInternsToEmptyView) {
@@ -104,7 +101,6 @@ TEST(StringInternerTest, OversizedStringGetsOwnBlock) {
   EXPECT_EQ(interner.view(before), "small-before");
   EXPECT_EQ(interner.view(mid), big2);
   EXPECT_EQ(interner.view(after), "small-after");
-  EXPECT_GE(interner.bytes(), big.size() + big2.size());
 }
 
 TEST(StringInternerTest, ViewsAndIdsStableUnderRehashAndGrowth) {
@@ -131,34 +127,6 @@ TEST(StringInternerTest, ViewsAndIdsStableUnderRehashAndGrowth) {
   EXPECT_EQ(early_views[0].data(), first_data);
 }
 
-// Interning happens only in serial sections, so the global table's
-// contents are a function of the work done, not of the thread count:
-// running the parallel scan sweep at 1/4/8 threads mints identical
-// labels and never grows the table after the first run.
-TEST(StringInternerTest, GlobalTableThreadCountInvariant) {
-  population::PopulationConfig config;
-  config.seed = 7;
-  config.scale = 0.02;
-  const auto pop = population::Population::generate(config);
-
-  std::vector<std::vector<std::pair<std::string, std::int64_t>>> runs;
-  std::vector<std::size_t> sizes;
-  for (const int threads : {1, 4, 8}) {
-    scan::PortScanner scanner(scan::ScanConfig{.threads = threads});
-    const auto report = scanner.scan(pop);
-    std::vector<std::pair<std::string, std::int64_t>> rows;
-    for (const auto& [label, count] : report.figure1(2))
-      rows.emplace_back(std::string(label), count);
-    runs.push_back(std::move(rows));
-    sizes.push_back(util::global_interner().size());
-  }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_EQ(runs[0], runs[2]);
-  // The 4- and 8-thread runs interned nothing the 1-thread run had not.
-  EXPECT_EQ(sizes[0], sizes[1]);
-  EXPECT_EQ(sizes[0], sizes[2]);
-}
-
 // ---------------------------------------------------------------------
 // Population facade (satellite: builder reserves + handle identity)
 // ---------------------------------------------------------------------
@@ -170,13 +138,14 @@ TEST(PopulationLayoutTest, ColumnsAreExactlyReserved) {
   const auto pop = population::Population::generate(config);
   const auto fp = pop.memory_footprint();
   ASSERT_EQ(fp.services, pop.size());
-  // column_bytes sums capacity * sizeof for all 14 columns. With the
+  // column_bytes sums capacity * sizeof for all 13 columns. With the
   // spec-sized reserve in generate() no column ever reallocates, so
   // capacity == size and the footprint equals the exact per-element
-  // cost (the bug this pins: only by_onion_ was reserved, so every
-  // column doubled its way up and held up to 2x the needed bytes).
+  // cost (the bug this pins: columns that doubled their way up held up
+  // to 2x the needed bytes). Labels and aliases are 2-byte indices into
+  // the population's text table; the onion is derived from the key.
   const std::size_t per_service =
-      sizeof(crypto::KeyPair) + 3 * sizeof(util::StringInterner::Id) +
+      sizeof(crypto::KeyPair) + 2 * sizeof(std::uint16_t) +
       sizeof(population::ServiceClass) + sizeof(net::ServiceProfile) +
       sizeof(content::Topic) + sizeof(content::Language) +
       2 * sizeof(std::uint8_t) + 2 * sizeof(double) +
@@ -192,21 +161,13 @@ TEST(PopulationLayoutTest, IdentityIsTheIndexNotAReference) {
   ASSERT_GT(pop.size(), 5u);
 
   const population::ServiceId id = 5;
-  const std::string onion(pop.onion(id));
-  const std::string_view onion_view = pop.onion(id);
-
-  // Interner churn (rehash + new blocks) must not invalidate the views
-  // the facade handed out or the by-onion index keyed on them.
-  for (int i = 0; i < 20000; ++i)
-    util::global_interner().intern("layout-churn-" + std::to_string(i));
-  EXPECT_EQ(onion_view, onion);
+  const std::string onion = pop.onion(id);
   const auto found = pop.find(onion);
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->index(), id);
 
   // Moving the population relocates the columns wholesale; the id keeps
-  // denoting the same service in the destination, and interner-backed
-  // views compare equal across the move.
+  // denoting the same service in the destination.
   auto moved = std::move(pop);
   EXPECT_EQ(moved.onion(id), onion);
   EXPECT_EQ(moved.service(id).index(), id);
@@ -219,6 +180,9 @@ TEST(PopulationLayoutTest, IdentityIsTheIndexNotAReference) {
   EXPECT_EQ(copy.onion(id), moved.onion(id));
   EXPECT_EQ(copy.service(id).requests_per_2h(),
             moved.service(id).requests_per_2h());
+  // Labels live in each population's own text table.
+  EXPECT_EQ(copy.label(0), moved.label(0));
+  EXPECT_NE(copy.label(0).data(), moved.label(0).data());
 }
 
 // Peak-RSS budget: the paper-seed population at scale 0.05 plus three
@@ -266,7 +230,7 @@ TEST(PopulationLayoutTest, PeakRssUnderBudgetAtScale005) {
 }
 
 // ---------------------------------------------------------------------
-// Interned Fig. 1 labels and the scan CSV (satellite: label-table fix)
+// Fig. 1 labels and the scan CSV
 // ---------------------------------------------------------------------
 
 scan::ScanReport small_scan() {
@@ -282,7 +246,7 @@ TEST(ScanLabelTest, Figure1LabelsAreAnnotatedAndStable) {
   const auto report = small_scan();
   const auto rows = report.figure1(2);
   ASSERT_FALSE(rows.empty());
-  std::map<std::string_view, std::int64_t> by_label(rows.begin(), rows.end());
+  std::map<std::string, std::int64_t> by_label(rows.begin(), rows.end());
   // The paper's well-known ports carry their protocol annotation; the
   // Fig. 1 head at any reasonable scale includes HTTP and Skynet.
   EXPECT_TRUE(by_label.count("80-http"));
@@ -293,16 +257,8 @@ TEST(ScanLabelTest, Figure1LabelsAreAnnotatedAndStable) {
     EXPECT_FALSE(label.empty());
   }
 
-  // The label table is interned once per distinct port: a second
-  // rendering returns pointer-identical views and mints nothing new.
-  const std::size_t interned_before = util::global_interner().size();
-  const auto again = report.figure1(2);
-  ASSERT_EQ(again.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(again[i].second, rows[i].second);
-    EXPECT_EQ(again[i].first.data(), rows[i].first.data());
-  }
-  EXPECT_EQ(util::global_interner().size(), interned_before);
+  // A second rendering gives the same rows.
+  EXPECT_EQ(report.figure1(2), rows);
 }
 
 TEST(ScanLabelTest, UnannotatedPortLabelIsBareDigits) {
@@ -313,7 +269,7 @@ TEST(ScanLabelTest, UnannotatedPortLabelIsBareDigits) {
   report.open_ports.add(8080, 5);
   report.open_ports.add(80, 3);
   const auto rows = report.figure1(1);
-  std::map<std::string_view, std::int64_t> by_label(rows.begin(), rows.end());
+  std::map<std::string, std::int64_t> by_label(rows.begin(), rows.end());
   EXPECT_EQ(by_label["8080"], 5);
   EXPECT_EQ(by_label["80-http"], 3);
 }
@@ -321,9 +277,9 @@ TEST(ScanLabelTest, UnannotatedPortLabelIsBareDigits) {
 TEST(ScanLabelTest, ScanCsvOutputUnchangedByLabelInterning) {
   const auto report = small_scan();
   // The CLI's per-port CSV (torsim scan --csv): ports as bare digits,
-  // open/timeout/closed counts joined per port. Rebuilding the label
-  // table must never leak annotations ("80-http") into the CSV, and
-  // rendering Fig. 1 between writes must not perturb the bytes.
+  // open/timeout/closed counts joined per port. Fig. 1's annotations
+  // ("80-http") must never leak into the CSV, and rendering Fig. 1
+  // between writes must not perturb the bytes.
   const auto write_csv = [&](const std::string& path) {
     util::CsvWriter csv(path);
     csv.row({"port", "open", "timeout", "closed"});
@@ -340,7 +296,7 @@ TEST(ScanLabelTest, ScanCsvOutputUnchangedByLabelInterning) {
   const std::string path_a = ::testing::TempDir() + "/scan_a.csv";
   const std::string path_b = ::testing::TempDir() + "/scan_b.csv";
   write_csv(path_a);
-  (void)report.figure1(2);  // interns/reads the label table in between
+  (void)report.figure1(2);  // renders the labels in between
   write_csv(path_b);
 
   const auto slurp = [](const std::string& path) {

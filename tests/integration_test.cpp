@@ -230,8 +230,10 @@ TEST(IntegrationTest, PopularityMeasuredFromHarvestLogsAlone) {
   rc.derive_from = world.now() - 3 * util::kSecondsPerDay;
   rc.derive_to = world.now() + util::kSecondsPerDay;
   popularity::DescriptorResolver resolver(rc);
-  resolver.build_dictionary_from_onions(
-      {harvest.onions.begin(), harvest.onions.end()});
+  std::vector<crypto::PermanentId> onions;
+  for (const std::string& onion : harvest.onions)
+    onions.push_back(crypto::parse_onion_address(onion));
+  resolver.build_dictionary(onions);
   const auto report = resolver.resolve(stream);
 
   // The attacker's partial view still recovers the popularity *order*.

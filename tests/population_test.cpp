@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
 #include <string>
 
 #include "content/corpus.hpp"
 #include "content/html.hpp"
+#include "crypto/digest.hpp"
 #include "population/population.hpp"
 #include "util/strings.hpp"
 
@@ -49,6 +51,46 @@ TEST(PopulationTest, FindByOnion) {
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->index(), first.index());
   EXPECT_FALSE(pop.find("nonexistentonion").has_value());
+}
+
+TEST(PopulationTest, FindAcceptsEverySpellingTheParserAccepts) {
+  // find() names the same service as crypto::parse_onion_address: either
+  // case, with or without the ".onion" suffix. Malformed text finds
+  // nothing and never throws.
+  PopulationConfig config;
+  config.seed = 7;
+  config.scale = 0.01;
+  const Population pop = Population::generate(config);
+  const auto upper = [](std::string text) {
+    for (char& c : text)
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    return text;
+  };
+  for (const auto svc : pop.services()) {
+    const std::string onion = svc.onion();
+    for (const std::string& spelling :
+         {onion, upper(onion), onion + ".onion", upper(onion) + ".ONION",
+          upper(onion) + ".onion", onion + ".OnIoN"}) {
+      const auto found = pop.find(spelling);
+      ASSERT_TRUE(found.has_value()) << spelling;
+      EXPECT_EQ(found->index(), svc.index()) << spelling;
+    }
+    const auto by_id = pop.find(crypto::parse_onion_address(onion));
+    ASSERT_TRUE(by_id.has_value());
+    EXPECT_EQ(by_id->index(), svc.index());
+  }
+
+  const std::string onion = pop.service(3).onion();
+  for (const std::string& malformed :
+       {std::string(), std::string(".onion"), onion.substr(0, 15),
+        onion + "a", onion + ".onio", onion + "onion", onion + "..onion",
+        std::string("0189018901890189"), "!" + onion.substr(1),
+        " " + onion.substr(1), std::string(16, '\0'),
+        onion.substr(0, 15) + "=", std::string(400, 'a')}) {
+    EXPECT_NO_THROW({
+      EXPECT_FALSE(pop.find(malformed).has_value()) << malformed;
+    });
+  }
 }
 
 TEST(PopulationTest, SkynetBotsDominateAndAreDark) {

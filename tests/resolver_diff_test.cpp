@@ -11,6 +11,7 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,6 +113,16 @@ std::vector<std::string> population_onions() {
   return onions;
 }
 
+/// The resolver's input for `onions`: each one's permanent id, in order.
+std::vector<crypto::PermanentId> permanent_ids(
+    const std::vector<std::string>& onions) {
+  std::vector<crypto::PermanentId> ids;
+  ids.reserve(onions.size());
+  for (const std::string& onion : onions)
+    ids.push_back(crypto::parse_onion_address(onion));
+  return ids;
+}
+
 void expect_same_report(const ResolutionReport& got,
                         const ResolutionReport& want) {
   EXPECT_EQ(got.total_requests, want.total_requests);
@@ -173,8 +184,9 @@ TEST_P(ResolverDiffTest, PopulationDictionaryAndReportMatchMapOracle) {
 
 TEST_P(ResolverDiffTest, DuplicateOnionsKeepTheLastWriter) {
   // Case and ".onion" variants decode to the same permanent id, so they
-  // derive the same descriptor ids under different strings: the later
-  // spelling in input order must own them, as in the serial map insert.
+  // derive the same descriptor ids: the later position in input order
+  // must own them, as in the serial map insert. The resolver renders an
+  // id in its canonical lowercase form, so that is what the oracle maps.
   const std::vector<std::string> base = population_onions();
   std::vector<std::string> onions(base.begin(), base.begin() + 40);
   onions.push_back(base[3]);
@@ -184,9 +196,12 @@ TEST_P(ResolverDiffTest, DuplicateOnionsKeepTheLastWriter) {
   onions.push_back(upper(base[9]));
   onions.push_back(base[9]);
   onions.push_back(base[11]);
-  const OracleResolver oracle(onions);
+  std::vector<std::string> canonical;
+  for (const crypto::PermanentId& pid : permanent_ids(onions))
+    canonical.push_back(crypto::onion_address(pid));
+  const OracleResolver oracle(canonical);
   DescriptorResolver resolver({.threads = GetParam()});
-  resolver.build_dictionary_from_onions(onions);
+  resolver.build_dictionary(permanent_ids(onions));
   expect_same_dictionary(resolver, oracle);
   expect_same_report(resolver.resolve(test_stream()),
                      oracle.resolve(test_stream(), nullptr));
@@ -197,13 +212,13 @@ TEST_P(ResolverDiffTest, EmptyStreamAndEmptyDictionary) {
   const std::vector<std::string> onions = population_onions();
   const OracleResolver oracle(onions);
   DescriptorResolver resolver({.threads = GetParam()});
-  resolver.build_dictionary_from_onions(onions);
+  resolver.build_dictionary(permanent_ids(onions));
   expect_same_report(resolver.resolve(empty_stream),
                      oracle.resolve(empty_stream, nullptr));
 
   const OracleResolver empty_oracle({});
   DescriptorResolver empty_resolver({.threads = GetParam()});
-  empty_resolver.build_dictionary_from_onions({});
+  empty_resolver.build_dictionary(std::span<const crypto::PermanentId>());
   expect_same_dictionary(empty_resolver, empty_oracle);
   expect_same_report(empty_resolver.resolve(test_stream()),
                      empty_oracle.resolve(test_stream(), nullptr));
@@ -232,7 +247,7 @@ TEST_P(ResolverDiffTest, TableEndOnionsInDefaultWindow) {
   const std::vector<std::string> onions = onions_at_table_ends();
   const OracleResolver oracle(onions);
   DescriptorResolver resolver({.threads = GetParam()});
-  resolver.build_dictionary_from_onions(onions);
+  resolver.build_dictionary(permanent_ids(onions));
   expect_same_dictionary(resolver, oracle);
   expect_same_report(resolver.resolve(test_stream()),
                      oracle.resolve(test_stream(), nullptr));
@@ -259,7 +274,7 @@ TEST_P(ResolverDiffTest, NonDefaultWindowsMatchMapOracle) {
     DescriptorResolver resolver({.derive_from = window.from,
                                  .derive_to = window.to,
                                  .threads = GetParam()});
-    resolver.build_dictionary_from_onions(onions);
+    resolver.build_dictionary(permanent_ids(onions));
     expect_same_dictionary(resolver, oracle);
     expect_same_report(resolver.resolve(test_stream()),
                        oracle.resolve(test_stream(), nullptr));
@@ -283,7 +298,7 @@ struct PopulationJoin {
   OracleResolver oracle{population_onions()};
   DescriptorResolver resolver;
   explicit PopulationJoin(int threads) : resolver({.threads = threads}) {
-    resolver.build_dictionary_from_onions(population_onions());
+    resolver.build_dictionary(permanent_ids(population_onions()));
   }
   void expect_same(const RequestStream& stream) const {
     expect_same_report(resolver.resolve(stream, test_population()),

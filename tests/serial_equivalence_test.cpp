@@ -241,25 +241,23 @@ TEST(SerialEquivalenceTest, Tab2ResolutionByteIdentical) {
 TEST(SerialEquivalenceTest, Tab2DictionaryEntriesIdentical) {
   // Same onions, duplicated to exercise the last-writer-wins insert
   // order the serial loop defines.
-  std::vector<std::string> onions;
-  for (const auto service : test_population().services()) {
-    onions.emplace_back(service.onion());
-    if (onions.size() >= 200) break;
-  }
+  std::vector<crypto::PermanentId> onions;
+  for (population::ServiceId id = 0; id < 200; ++id)
+    onions.push_back(test_population().permanent_id(id));
   onions.insert(onions.end(), onions.begin(), onions.begin() + 50);
 
   popularity::DescriptorResolver serial(
       popularity::ResolverConfig{.threads = 1});
-  serial.build_dictionary_from_onions(onions);
+  serial.build_dictionary(onions);
   popularity::DescriptorResolver parallel(
       popularity::ResolverConfig{.threads = 4});
-  parallel.build_dictionary_from_onions(onions);
+  parallel.build_dictionary(onions);
   ASSERT_EQ(serial.dictionary_size(), parallel.dictionary_size());
 
   // Spot-check the join itself: every derived id resolves identically.
   popularity::DescriptorResolver probe(
       popularity::ResolverConfig{.threads = 1});
-  probe.build_dictionary_from_onions(onions);
+  probe.build_dictionary(onions);
   EXPECT_EQ(probe.dictionary_size(), serial.dictionary_size());
 }
 
