@@ -1,11 +1,12 @@
 #include "content/language_detector.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <map>
+#include <stdexcept>
 
 #include "content/corpus.hpp"
+#include "util/strings.hpp"
 
 namespace torsim::content {
 
@@ -49,8 +50,8 @@ std::string LanguageDetector::normalize(std::string_view text) {
   for (char c : text) {
     unsigned char uc = static_cast<unsigned char>(c);
     if (uc < 0x80) {
-      if (std::isalpha(uc)) {
-        norm.push_back(static_cast<char>(std::tolower(uc)));
+      if (util::is_ascii_alpha(uc)) {
+        norm.push_back(util::ascii_letter_lower(uc));
         last_space = false;
       } else if (!last_space) {
         norm.push_back(' ');
@@ -110,21 +111,66 @@ LanguageDetector::LanguageDetector() {
       rows.try_emplace(gram, fallback).first->second[slot] =
           std::log(std::max(count / total, 2.0 * kOovProbability));
   }
-  grams_ = RowTable<std::uint32_t, GramHash, kNumLanguages>(rows, fallback);
+  // 1- and 2-grams get direct row indexes, 3-grams the hashed table.
+  short_rows_.assign(1, fallback);
+  bigram_row_.assign(std::size_t{1} << 16, 0);
+  std::map<std::uint32_t, Scores> trigrams;
+  for (const auto& [gram, row] : rows) {
+    const std::uint32_t n = gram >> 24;
+    if (n == 3) {
+      trigrams.emplace(gram, row);
+      continue;
+    }
+    if (short_rows_.size() > 0xFFFF)
+      throw std::length_error(
+          "LanguageDetector: 1- and 2-gram rows overflow their uint16_t "
+          "index");
+    const auto index = static_cast<std::uint16_t>(short_rows_.size());
+    short_rows_.push_back(row);
+    if (n == 1)
+      unigram_row_[gram & 0xFF] = index;
+    else
+      bigram_row_[gram & 0xFFFF] = index;
+  }
+  trigrams_ = RowTable<std::uint32_t, GramKey, kNumLanguages>(trigrams,
+                                                               fallback);
 }
 
-// One table probe and one kNumLanguages-wide add per gram. Each
+// Three passes over `norm` — 1-grams, 2-grams, 3-grams — in the order
+// for_each_gram visits them. A 1- or 2-gram is one direct row index, a
+// 3-gram one table probe, and each row is one RowSum::add. Each
 // language's sum takes its terms in gram order, so every score is
 // bit-identical to a per-language loop over the same grams.
 // detlint: hot
 std::size_t LanguageDetector::score_grams(std::string_view norm,
                                           Scores& scores) const {
+  constexpr std::uint32_t kBlankBigram = 0x2020;  // "  "
+  const auto* bytes = reinterpret_cast<const unsigned char*>(norm.data());
+  const std::size_t size = norm.size();
+  const Scores* rows = short_rows_.data();
+  const std::uint16_t* bigram_row = bigram_row_.data();
+  RowSum<kNumLanguages> sum(scores);
   std::size_t count = 0;
-  for_each_gram(norm, [&](std::uint32_t gram) {
-    const Scores& row = grams_.find(gram);
-    for (std::size_t li = 0; li < scores.size(); ++li) scores[li] += row[li];
+  for (std::size_t i = 0; i < size; ++i) {
+    if (bytes[i] == ' ') continue;
+    sum.add(rows[unigram_row_[bytes[i]]]);
     ++count;
-  });
+  }
+  for (std::size_t i = 0; i + 2 <= size; ++i) {
+    const std::uint32_t key =
+        std::uint32_t{bytes[i]} | std::uint32_t{bytes[i + 1]} << 8;
+    if (key == kBlankBigram) continue;
+    sum.add(rows[bigram_row[key]]);
+    ++count;
+  }
+  const std::uint32_t blank = pack_gram("   ", 0, 3);
+  for (std::size_t i = 0; i + 3 <= size; ++i) {
+    const std::uint32_t gram = pack_gram(norm, i, 3);
+    if (gram == blank) continue;
+    sum.add(trigrams_.find(gram));
+    ++count;
+  }
+  sum.store(scores);
   return count;
 }
 

@@ -1,6 +1,11 @@
 // Character n-gram naive-Bayes language detection — the same algorithm
 // family as the "Langdetect" library the paper used (Shuyo 2010), with
 // profiles built from the embedded per-language corpora.
+//
+// Every gram of every profile owns one row of per-language
+// log-probabilities. 1-grams find theirs by their byte and 2-grams by
+// their two bytes, without hashing; 3-grams probe a RowTable. Scoring a
+// document adds one row per gram into a register-resident RowSum.
 #pragma once
 
 #include <array>
@@ -8,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "content/row_table.hpp"
 #include "content/topics.hpp"
@@ -38,11 +44,12 @@ class LanguageDetector {
   using Scores = std::array<double, kNumLanguages>;
 
   /// A byte n-gram packed as bytes in the low 24 bits, n in the top byte.
-  struct GramHash {
-    std::size_t operator()(std::uint32_t gram) const {
+  struct GramKey {
+    static std::size_t hash(std::uint32_t gram) {
       return static_cast<std::size_t>(
           (std::uint64_t{gram} * 0x9E3779B97F4A7C15ULL) >> 32);
     }
+    static bool equal(std::uint32_t a, std::uint32_t b) { return a == b; }
   };
 
   /// Lowercased, space-normalized copy that n-grams are cut from.
@@ -53,8 +60,16 @@ class LanguageDetector {
   /// scores); returns the gram count.
   std::size_t score_grams(std::string_view norm, Scores& scores) const;
 
-  /// Packed gram -> one log-probability per language.
-  RowTable<std::uint32_t, GramHash, kNumLanguages> grams_;
+  /// Rows of the 1- and 2-grams; short_rows_[0] is the fallback row
+  /// that every gram outside all profiles scores.
+  std::vector<Scores> short_rows_;
+  /// 1-gram byte -> index into short_rows_.
+  std::array<std::uint16_t, 256> unigram_row_{};
+  /// 2-gram `first | second << 8` -> index into short_rows_ (64 Ki
+  /// entries).
+  std::vector<std::uint16_t> bigram_row_;
+  /// Packed 3-gram -> one log-probability per language.
+  RowTable<std::uint32_t, GramKey, kNumLanguages> trigrams_;
 };
 
 }  // namespace torsim::content

@@ -1,7 +1,6 @@
 #include "content/topic_classifier.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <map>
 #include <set>
@@ -56,18 +55,19 @@ void TopicClassifier::train(const std::vector<LabeledDoc>& docs) {
       rows.try_emplace(w, fallback).first->second[slot] =
           std::log((c + 1.0) / (total_words[cls] + v));
   }
-  words_ = RowTable<std::string, WordHash, kNumTopics>(rows, fallback);
+  words_ = RowTable<std::string, WordKey, kNumTopics>(rows, fallback);
 }
 
-// One table probe and one kNumTopics-wide add per word. Each topic's
-// sum takes its terms in text order, so every score is bit-identical to
-// a per-topic loop over the same words.
+// One table probe and one RowSum::add per word. Each topic's sum takes
+// its terms in text order, so every score is bit-identical to a
+// per-topic loop over the same words.
 // detlint: hot
 std::size_t TopicClassifier::score_words(std::string_view lowered,
                                          Scores& scores) const {
   const auto alpha = [&](std::size_t i) {
-    return std::isalpha(static_cast<unsigned char>(lowered[i])) != 0;
+    return util::is_ascii_alpha(static_cast<unsigned char>(lowered[i]));
   };
+  RowSum<kNumTopics> sum(scores);
   std::size_t count = 0;
   std::size_t i = 0;
   while (i < lowered.size()) {
@@ -77,11 +77,11 @@ std::size_t TopicClassifier::score_words(std::string_view lowered,
     }
     std::size_t end = i + 1;
     while (end < lowered.size() && alpha(end)) ++end;
-    const Scores& row = words_.find(lowered.substr(i, end - i));
-    for (std::size_t t = 0; t < scores.size(); ++t) scores[t] += row[t];
+    sum.add(words_.find(lowered.substr(i, end - i)));
     ++count;
     i = end;
   }
+  sum.store(scores);
   return count;
 }
 
@@ -92,7 +92,7 @@ TopicGuess TopicClassifier::classify(std::string_view text) const {
   std::string lowered(text);
   for (char& c : lowered) {
     const auto uc = static_cast<unsigned char>(c);
-    if (std::isalpha(uc)) c = static_cast<char>(std::tolower(uc));
+    if (util::is_ascii_alpha(uc)) c = util::ascii_letter_lower(uc);
   }
   Scores scores{};
   std::copy(class_log_prior_.begin(), class_log_prior_.end(),

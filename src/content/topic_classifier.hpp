@@ -5,7 +5,7 @@
 
 #include <array>
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,9 +49,28 @@ class TopicClassifier {
  private:
   using Scores = std::array<double, kNumTopics>;
 
-  struct WordHash {
-    std::size_t operator()(std::string_view word) const {
-      return std::hash<std::string_view>{}(word);
+  /// Words as RowTable keys, hashed and compared by inline loops (no
+  /// std::hash or memcmp call in the scoring loop).
+  struct WordKey {
+    /// 64-bit FNV-1a, then MurmurHash3's 64-bit finalizer. Without it
+    /// the masked low bits of words differing only in their last byte
+    /// sit at fixed offsets from each other instead of spreading.
+    static std::size_t hash(std::string_view word) {
+      std::uint64_t h = 0xCBF29CE484222325ULL;
+      for (const char c : word)
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+      h ^= h >> 33;
+      h *= 0xFF51AFD7ED558CCDULL;
+      h ^= h >> 33;
+      h *= 0xC4CEB9FE1A85EC53ULL;
+      h ^= h >> 33;
+      return static_cast<std::size_t>(h);
+    }
+    static bool equal(std::string_view a, std::string_view b) {
+      if (a.size() != b.size()) return false;
+      for (std::size_t k = 0; k < a.size(); ++k)
+        if (a[k] != b[k]) return false;
+      return true;
     }
   };
 
@@ -63,7 +82,7 @@ class TopicClassifier {
   /// Word -> one log-probability per topic. A topic that never saw the
   /// word holds that topic's Laplace fallback in its slot; unknown words
   /// get the all-fallback row.
-  RowTable<std::string, WordHash, kNumTopics> words_;
+  RowTable<std::string, WordKey, kNumTopics> words_;
 };
 
 }  // namespace torsim::content

@@ -9,9 +9,8 @@ CertReport analyse_certificates(const population::Population& pop,
   CertReport report;
   for (const PortObservation& obs : scan.observations) {
     if (obs.result != net::ConnectResult::kOpen) continue;
-    const auto svc = pop.find(obs.onion);
-    if (!svc) continue;
-    const net::PortService* ps = svc->profile().service_at(obs.port);
+    const net::PortService* ps =
+        pop.service(obs.service).profile().service_at(obs.port);
     if (ps == nullptr || !ps->certificate) continue;
     const net::TlsCertificate& cert = *ps->certificate;
     ++report.certificates_seen;

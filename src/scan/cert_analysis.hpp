@@ -34,7 +34,8 @@ struct CertReport {
   std::vector<CertFinding> deanonymising;  ///< the public-DNS cases
 };
 
-/// Inspects the certificate on every HTTPS observation in the scan.
+/// Inspects the certificate on every HTTPS observation in the scan;
+/// `pop` must be the population `scan` was taken of.
 CertReport analyse_certificates(const population::Population& pop,
                                 const ScanReport& scan);
 

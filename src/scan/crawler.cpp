@@ -42,11 +42,11 @@ CrawlReport Crawler::crawl(const population::Population& pop,
       continue;
     ++report.destinations;
 
-    const auto svc = pop.find(obs.onion);
-    if (!svc || !svc->alive_at_crawl()) continue;
+    const population::Population::ServiceRef svc = pop.service(obs.service);
+    if (!svc.alive_at_crawl()) continue;
     ++report.still_open;
 
-    const net::PortService* ps = svc->profile().service_at(obs.port);
+    const net::PortService* ps = svc.profile().service_at(obs.port);
     if (ps == nullptr) continue;
     if (!http_speaks(ps->protocol)) continue;
 

@@ -58,6 +58,8 @@ class Crawler {
  public:
   explicit Crawler(CrawlConfig config = {}) : config_(config) {}
 
+  /// Crawls the scan's open destinations; `pop` must be the population
+  /// `scan` was taken of.
   CrawlReport crawl(const population::Population& pop,
                     const ScanReport& scan) const;
 

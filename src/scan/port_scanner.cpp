@@ -151,6 +151,7 @@ ScanReport PortScanner::scan(const population::Population& pop) const {
         continue;
       }
       PortObservation obs;
+      obs.service = static_cast<population::ServiceId>(index);
       obs.onion = onion;
       obs.port = port;
       obs.result = result;

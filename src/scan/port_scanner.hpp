@@ -45,7 +45,9 @@ struct ScanConfig {
 
 /// One per-destination observation.
 struct PortObservation {
-  std::string onion;
+  /// The observed service in the scanned population.
+  population::ServiceId service = 0;
+  std::string onion;  ///< == pop.onion(service)
   std::uint16_t port = 0;
   net::ConnectResult result = net::ConnectResult::kClosed;
   int scan_day = 0;

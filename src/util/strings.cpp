@@ -51,9 +51,9 @@ std::vector<std::string> tokenize_words(std::string_view text) {
   std::vector<std::string> words;
   std::string current;
   for (char c : text) {
-    if (std::isalpha(static_cast<unsigned char>(c))) {
-      current.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    const auto uc = static_cast<unsigned char>(c);
+    if (is_ascii_alpha(uc)) {
+      current.push_back(ascii_letter_lower(uc));
     } else if (!current.empty()) {
       words.push_back(std::move(current));
       current.clear();
@@ -67,7 +67,7 @@ std::size_t count_words(std::string_view text) {
   std::size_t count = 0;
   bool in_word = false;
   for (char c : text) {
-    const bool alpha = std::isalpha(static_cast<unsigned char>(c)) != 0;
+    const bool alpha = is_ascii_alpha(static_cast<unsigned char>(c));
     if (alpha && !in_word) ++count;
     in_word = alpha;
   }

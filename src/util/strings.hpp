@@ -7,6 +7,18 @@
 
 namespace torsim::util {
 
+/// Whether `c` is an ASCII letter: std::isalpha in the "C" locale,
+/// without a library call per byte.
+constexpr bool is_ascii_alpha(unsigned char c) {
+  return static_cast<unsigned char>((c | 0x20) - 'a') < 26;
+}
+
+/// An ASCII letter `c` in lowercase: std::tolower in the "C" locale.
+/// Requires is_ascii_alpha(c).
+constexpr char ascii_letter_lower(unsigned char c) {
+  return static_cast<char>(c | 0x20);
+}
+
 /// Splits on a single separator character; empty fields are preserved.
 std::vector<std::string> split(std::string_view text, char sep);
 

@@ -3,7 +3,9 @@
 // one hash map per language profile, one word map per topic class,
 // probed once per feature per class — are replayed against the
 // production scorers, which must agree on the winner and reproduce
-// every confidence bit for bit.
+// every confidence bit for bit: on generated pages, on every page of a
+// real crawl, and on byte-exhaustive edge texts that reach every row of
+// the detector's 1- and 2-gram direct indexes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +24,9 @@
 #include "content/language_detector.hpp"
 #include "content/page_generator.hpp"
 #include "content/topic_classifier.hpp"
+#include "population/population.hpp"
+#include "scan/crawler.hpp"
+#include "scan/port_scanner.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -89,6 +95,15 @@ class OracleLanguageDetector {
     for (double s : scores) denom += std::exp((s - scores[best]) * scale);
     const double confidence = denom > 0.0 ? 1.0 / denom : 0.0;
     return {language_from_index(static_cast<int>(best)), confidence};
+  }
+
+  /// Every n-byte gram of any language profile, sorted.
+  std::vector<std::string> profile_grams(std::size_t n) const {
+    std::set<std::string> grams;
+    for (const Profile& profile : profiles_)
+      for (const auto& [gram, log_prob] : profile.log_prob)
+        if (gram.size() == n) grams.insert(gram);
+    return {grams.begin(), grams.end()};
   }
 
  private:
@@ -190,6 +205,14 @@ class OracleTopicClassifier {
     return guess;
   }
 
+  /// Every word any class saw in training, sorted.
+  std::vector<std::string> vocabulary() const {
+    std::set<std::string> words;
+    for (const auto& log_prob : word_log_prob_)
+      for (const auto& [word, value] : log_prob) words.insert(word);
+    return {words.begin(), words.end()};
+  }
+
  private:
   std::vector<double> class_log_prior_;
   std::vector<std::unordered_map<std::string, double>> word_log_prob_;
@@ -238,6 +261,69 @@ std::vector<std::string> generated_pages() {
   return pages;
 }
 
+/// The text of every page a scale-0.05 seed-1 crawl fetches: the
+/// paper pipeline's real input to both scorers.
+std::vector<std::string> crawled_pages() {
+  population::PopulationConfig config;
+  config.seed = 1;
+  config.scale = 0.05;
+  const population::Population pop = population::Population::generate(config);
+  const scan::ScanReport scan =
+      scan::PortScanner(scan::ScanConfig{.seed = 2}).scan(pop);
+  const scan::CrawlReport crawl =
+      scan::Crawler(scan::CrawlConfig{.seed = 5}).crawl(pop, scan);
+  std::vector<std::string> pages;
+  for (const CrawlDestination& page : crawl.pages) pages.push_back(page.text);
+  return pages;
+}
+
+/// Byte-exhaustive texts: every single byte; each 1- and 2-gram row key
+/// of the detector's profiles followed by every byte (so every profile
+/// 2-gram also starts a 3-gram with every third byte); runs of bytes
+/// >= 0x80; separators only (zero grams); and texts holding a "  " pair.
+std::vector<std::string> byte_exhaustive_texts(
+    const OracleLanguageDetector& oracle) {
+  std::vector<std::string> texts;
+  for (int b = 0; b < 256; ++b) texts.emplace_back(1, static_cast<char>(b));
+  for (std::size_t n = 1; n <= 2; ++n)
+    for (const std::string& key : oracle.profile_grams(n))
+      for (int b = 0; b < 256; ++b) texts.push_back(key + static_cast<char>(b));
+  std::string high;
+  for (int b = 0x80; b < 0x100; ++b) {
+    texts.emplace_back(7, static_cast<char>(b));
+    high.push_back(static_cast<char>(b));
+  }
+  texts.push_back(high);
+  texts.push_back("abc " + high + " def" + high + "xyz");
+  texts.push_back(" \t\r\n.,;:!?-_/\\|@#$%^&*()[]{}<>'\"`~+=0123456789 ");
+  texts.push_back("  ");
+  texts.push_back("hello  world");
+  texts.push_back("a  b\xc3\xa9  c");
+  return texts;
+}
+
+/// Near misses of every vocabulary word: its first or last letter
+/// replaced by each of a-z, its last letter dropped, and each of a-z
+/// appended. Enough of them share a probe chain with the word itself
+/// that a key comparison skipping a byte or the length scores one.
+std::vector<std::string> near_miss_words(
+    const std::vector<std::string>& vocabulary) {
+  std::vector<std::string> texts;
+  for (const std::string& word : vocabulary) {
+    for (char c = 'a'; c <= 'z'; ++c) {
+      std::string first = word;
+      first.front() = c;
+      std::string last = word;
+      last.back() = c;
+      texts.push_back(std::move(first));
+      texts.push_back(std::move(last));
+      texts.push_back(word + c);
+    }
+    texts.push_back(word.substr(0, word.size() - 1));
+  }
+  return texts;
+}
+
 std::vector<LabeledDoc> training_docs() {
   PageGenerator gen;
   util::Rng rng(42);
@@ -261,6 +347,28 @@ void expect_same_language(const OracleLanguageDetector& oracle,
   EXPECT_TRUE(same_bits(got.confidence, want.confidence))
       << "text: " << text << " got " << got.confidence << " want "
       << want.confidence;
+}
+
+/// For sweeps too large to report every text: counts the texts on which
+/// `scorer` and `oracle` disagree in winner or confidence bits and
+/// names the first.
+template <typename Guess, typename Scorer, typename Oracle>
+void expect_all_same(const std::vector<std::string>& texts, Scorer&& scorer,
+                     Oracle&& oracle) {
+  std::size_t mismatches = 0;
+  std::string first;
+  for (const std::string& text : texts) {
+    const Guess got = scorer(text);
+    const Guess want = oracle(text);
+    bool same = same_bits(got.confidence, want.confidence);
+    if constexpr (std::is_same_v<Guess, LanguageGuess>)
+      same = same && got.language == want.language;
+    else
+      same = same && got.topic == want.topic;
+    if (!same && mismatches++ == 0) first = text;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << texts.size()
+                            << " texts; first: " << first;
 }
 
 void expect_same_topic(const TopicClassifier& classifier,
@@ -288,6 +396,62 @@ TEST(ContentTablesDiffTest, LanguageDetectorMatchesOracleOnEdgeTexts) {
   const OracleLanguageDetector oracle;
   for (const std::string& text : edge_texts())
     expect_same_language(oracle, text);
+}
+
+TEST(ContentTablesDiffTest, LanguageDetectorMatchesOracleOnCrawledPages) {
+  const OracleLanguageDetector oracle;
+  const std::vector<std::string> pages = crawled_pages();
+  ASSERT_GT(pages.size(), 100u);
+  expect_all_same<LanguageGuess>(
+      pages, [](std::string_view t) {
+        return LanguageDetector::instance().detect(t);
+      },
+      [&](std::string_view t) { return oracle.detect(t); });
+}
+
+TEST(ContentTablesDiffTest, LanguageDetectorMatchesOracleOnByteExhaustiveTexts) {
+  const OracleLanguageDetector oracle;
+  const std::vector<std::string> texts = byte_exhaustive_texts(oracle);
+  // 256 single bytes + (101 1-gram + 860 2-gram keys) x 256 + the rest.
+  ASSERT_GT(texts.size(), 200'000u);
+  expect_all_same<LanguageGuess>(
+      texts, [](std::string_view t) {
+        return LanguageDetector::instance().detect(t);
+      },
+      [&](std::string_view t) { return oracle.detect(t); });
+}
+
+TEST(ContentTablesDiffTest, TopicClassifierMatchesOracleOnCrawledPages) {
+  const std::vector<LabeledDoc> docs = training_docs();
+  TopicClassifier classifier;
+  classifier.train(docs);
+  const OracleTopicClassifier oracle(docs);
+  expect_all_same<TopicGuess>(
+      crawled_pages(),
+      [&](std::string_view t) { return classifier.classify(t); },
+      [&](std::string_view t) { return oracle.classify(t); });
+}
+
+TEST(ContentTablesDiffTest, TopicClassifierMatchesOracleOnByteExhaustiveTexts) {
+  const std::vector<LabeledDoc> docs = training_docs();
+  TopicClassifier classifier;
+  classifier.train(docs);
+  const OracleTopicClassifier oracle(docs);
+  expect_all_same<TopicGuess>(
+      byte_exhaustive_texts(OracleLanguageDetector()),
+      [&](std::string_view t) { return classifier.classify(t); },
+      [&](std::string_view t) { return oracle.classify(t); });
+}
+
+TEST(ContentTablesDiffTest, TopicClassifierMatchesOracleOnNearMissWords) {
+  const std::vector<LabeledDoc> docs = training_docs();
+  TopicClassifier classifier;
+  classifier.train(docs);
+  const OracleTopicClassifier oracle(docs);
+  expect_all_same<TopicGuess>(
+      near_miss_words(oracle.vocabulary()),
+      [&](std::string_view t) { return classifier.classify(t); },
+      [&](std::string_view t) { return oracle.classify(t); });
 }
 
 TEST(ContentTablesDiffTest, TopicClassifierMatchesOracleOnGeneratedPages) {

@@ -1,14 +1,87 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "content/corpus.hpp"
 #include "content/language_detector.hpp"
 #include "content/page_generator.hpp"
 #include "content/pipeline.hpp"
+#include "content/row_table.hpp"
 #include "content/topic_classifier.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace torsim::content {
 namespace {
+
+// ---------------------------------------------------------------------
+// RowSum: the register-resident per-class sum both scorers add into
+// ---------------------------------------------------------------------
+
+/// A value drawn from the kinds the scorers' rows hold and the edge
+/// cases IEEE addition treats specially.
+double row_value(util::Rng& rng) {
+  switch (rng.uniform_int(0, 7)) {
+    case 0:
+      return std::numeric_limits<double>::infinity();
+    case 1:
+      return -std::numeric_limits<double>::infinity();
+    case 2:
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(rng.uniform_int(1, 1000));
+    case 3:
+      return -std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(rng.uniform_int(1, 1000));
+    case 4:
+      return -1e9;  // the topic scorer's floor for a class without docs
+    case 5:
+      return 0.0;
+    default:
+      return -20.0 * rng.uniform01();  // a log-probability
+  }
+}
+
+template <std::size_t W>
+void expect_row_sum_matches_scalar_loop(std::uint64_t seed) {
+  util::Rng rng(seed);
+  for (int doc = 0; doc < 200; ++doc) {
+    std::array<double, W> start{};
+    for (double& v : start) v = row_value(rng);
+    const auto rows_in_doc = rng.uniform_int(0, 40);
+    std::vector<std::array<double, W>> rows(static_cast<std::size_t>(
+        rows_in_doc));
+    for (auto& row : rows)
+      for (double& v : row) v = row_value(rng);
+
+    std::array<double, W> want = start;
+    for (const auto& row : rows)
+      for (std::size_t k = 0; k < W; ++k) want[k] += row[k];
+
+    RowSum<W> sum(start);
+    for (const auto& row : rows) sum.add(row);
+    std::array<double, W> got{};
+    sum.store(got);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(got)), 0)
+        << "width " << W << " document " << doc;
+  }
+}
+
+TEST(RowSumTest, BitIdenticalToScalarLoopAtEveryWidth) {
+  expect_row_sum_matches_scalar_loop<1>(1);
+  expect_row_sum_matches_scalar_loop<2>(2);
+  expect_row_sum_matches_scalar_loop<kNumLanguages>(17);
+  expect_row_sum_matches_scalar_loop<kNumTopics>(18);
+}
+
+TEST(RowSumTest, StoreWithoutAddReturnsTheStart) {
+  const std::array<double, 3> start = {-1e9, -0.0, 2.5};
+  std::array<double, 3> got{};
+  RowSum<3>(start).store(got);
+  EXPECT_EQ(std::memcmp(got.data(), start.data(), sizeof(got)), 0);
+}
 
 // ---------------------------------------------------------------------
 // taxonomy & corpus

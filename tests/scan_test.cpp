@@ -93,6 +93,22 @@ TEST(PortScannerTest, AbnormalCloseObservationsMarked) {
   EXPECT_EQ(abnormal, report.open_ports.count(net::kPortSkynet));
 }
 
+TEST(PortScannerTest, ObservationsCarryTheirServiceId) {
+  // The crawler and the certificate analysis look services up by this
+  // id, not by parsing the onion text.
+  const Population& pop = test_population();
+  for (const int threads : {1, 4}) {
+    const ScanReport report =
+        PortScanner(ScanConfig{.threads = threads}).scan(pop);
+    ASSERT_FALSE(report.observations.empty());
+    for (const PortObservation& obs : report.observations) {
+      ASSERT_LT(obs.service, pop.size());
+      EXPECT_EQ(pop.service(obs.service).onion(), obs.onion);
+      EXPECT_TRUE(pop.service(obs.service).published_at_scan());
+    }
+  }
+}
+
 TEST(PortScannerTest, DeterministicForSeed) {
   PortScanner scanner(ScanConfig{.seed = 5, .scan_days = 8,
                                  .probe_timeout_probability = 0.02});

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -416,6 +417,20 @@ TEST(StringsTest, CountWordsMatchesTokenize) {
        {"one two three", "", "a,b,,c!!", "x", "  spaces   here  ",
         "SSH-2.0-OpenSSH_5.9p1 Debian-5ubuntu1"}) {
     EXPECT_EQ(count_words(text), tokenize_words(text).size()) << text;
+  }
+}
+
+TEST(StringsTest, AsciiLetterHelpersMatchCLocaleCtype) {
+  // The content scorers use these instead of std::isalpha/std::tolower;
+  // the program never leaves the "C" locale, where the two agree on
+  // every byte.
+  for (int b = 0; b < 256; ++b) {
+    const auto c = static_cast<unsigned char>(b);
+    EXPECT_EQ(is_ascii_alpha(c), std::isalpha(c) != 0) << b;
+    if (is_ascii_alpha(c)) {
+      EXPECT_EQ(ascii_letter_lower(c), static_cast<char>(std::tolower(c)))
+          << b;
+    }
   }
 }
 
