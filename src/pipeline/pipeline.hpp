@@ -71,9 +71,10 @@ scan::CrawlReport crawl(const Config& config,
 content::PipelineResult classify(const Config& config,
                                  const scan::CrawlReport& crawl_report);
 
-/// Table II: generates the requests (span popularity.requests), builds
-/// the descriptor-id dictionary (popularity.dictionary), then resolves
-/// and ranks the requests (popularity.resolve).
+/// Table II: generates the requests (span popularity.requests), records
+/// the harvested onions (popularity.dictionary), then joins their
+/// derived descriptor ids against the requests and ranks them
+/// (popularity.resolve).
 popularity::ResolutionReport resolve(const Config& config,
                                      const population::Population& pop);
 

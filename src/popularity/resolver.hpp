@@ -4,7 +4,11 @@
 // the paper resolved its request log by deriving, for every harvested
 // onion address, the descriptor IDs of *every day between 28 Jan and
 // 8 Feb 2013* (to absorb client clock skew) and joining against the log.
-// We implement exactly that method.
+// We implement exactly that method as a hash join built on the small
+// side: the distinct requested ids (tens of thousands) are counted into
+// a hash table, and every onion's derived ids stream through it. No
+// dictionary of derived ids (harvest x window, ~1M at paper scale) is
+// ever stored; each join derives them again.
 #pragma once
 
 #include <cstddef>
@@ -24,10 +28,10 @@ struct ResolverConfig {
   /// Derivation window (paper: 28 Jan – 8 Feb 2013). Zero means default.
   util::UnixTime derive_from = 0;
   util::UnixTime derive_to = 0;
-  /// Worker threads for the per-onion multi-day descriptor-ID
-  /// derivation and the dictionary's ring sort; <= 0 = one per hardware
-  /// thread, 1 = serial. The dictionary is bit-identical for every value
-  /// (see docs/concurrency.md).
+  /// Worker threads for the join's derive-and-probe tasks (a fixed
+  /// number of contiguous runs of onions, whatever this value); <= 0 =
+  /// one per hardware thread, 1 = serial. Every report is bit-identical
+  /// for every value (see docs/concurrency.md).
   int threads = 0;
   /// Optional metrics sink ("resolver.*" counters). Must outlive the
   /// resolver. See docs/observability.md.
@@ -64,84 +68,88 @@ class DescriptorResolver {
  public:
   explicit DescriptorResolver(ResolverConfig config = {});
 
-  /// Builds the descriptor-id -> onion dictionary from the harvested
-  /// address database (all onions in the population — the harvest
-  /// collected addresses regardless of later availability).
+  /// Records the harvested address database (all onions in the
+  /// population — the harvest collected addresses regardless of later
+  /// availability) for the joins of resolve() and resolve_ids().
   void build_dictionary(const population::Population& pop);
 
-  /// Builds the dictionary from the permanent ids of bare onion
-  /// addresses — exactly the paper's method: nothing but the harvested
-  /// address list is needed to derive every descriptor ID in the
-  /// window. A repeated id keeps its last position; its earlier copies
-  /// resolve nothing.
+  /// Records the permanent ids of bare onion addresses — exactly the
+  /// paper's method: nothing but the harvested address list is needed
+  /// to derive every descriptor ID in the window. A repeated id keeps
+  /// its last position; its earlier copies resolve nothing.
   void build_dictionary(std::span<const crypto::PermanentId> onions);
 
   /// Resolves a request stream and produces the ranking. `pop` (when
-  /// provided) only supplies ground-truth labels for the report.
+  /// provided) only supplies ground-truth labels for the report. Each
+  /// call derives every recorded onion's ids again.
   ResolutionReport resolve(const RequestStream& stream,
                            const population::Population& pop) const;
   ResolutionReport resolve(const RequestStream& stream) const;
 
-  std::size_t dictionary_size() const { return dictionary_.size(); }
-
-  /// Resolves one descriptor id to its onion address, if known.
-  std::optional<std::string> resolve_id(const crypto::DescriptorId& id) const;
+  /// Resolves each of `ids` to the onion address that derives it, if
+  /// any: one join over the distinct ids, out[i] for ids[i].
+  std::vector<std::optional<std::string>> resolve_ids(
+      std::span<const crypto::DescriptorId> ids) const;
 
  private:
-  /// One dictionary row: a derived descriptor id and the slot of the
-  /// onion it resolves to (its input position, an index into onions_).
-  struct Entry {
-    crypto::DescriptorId id;
-    std::uint32_t onion = 0;
-  };
+  static constexpr std::uint32_t kNoOwner = UINT32_MAX;
 
-  /// One slot of the request tally's open-addressing table: a distinct
-  /// request id and its request count; count 0 marks an empty slot.
+  /// One slot of the join's open-addressing table: a distinct requested
+  /// id, its request count (0 marks an empty slot) and the input
+  /// position of the onion that derives it (kNoOwner if none does).
   struct IdCount {
     crypto::DescriptorId id{};
+    std::uint32_t owner = kNoOwner;
     std::int64_t count = 0;
   };
 
   ResolutionReport resolve_internal(const RequestStream& stream,
                                     const population::Population* pop) const;
 
-  /// Sorts `entries` by (id, position) in place: an in-place counting
-  /// permutation on the id's top byte, then, for each of those 256
-  /// buckets in parallel, a counting scatter on the next 12 bits and a
-  /// sort of each sub-bucket (about one entry) with word compares.
-  /// (id, position) is a total order, so the result is the same at
-  /// every thread count.
-  static void ring_sort(std::span<Entry> entries, int threads);
+  /// The index of the slot holding `id` in `table` (a power-of-two
+  /// size, linear probing from a hash of all 20 bytes), or of the empty
+  /// slot where it belongs. The table must have an empty slot.
+  static std::size_t slot_of(std::span<const IdCount> table,
+                             const crypto::DescriptorId& id);
 
-  /// The slot holding `id` in `table` (a power-of-two size, linear
-  /// probing from a hash of all 20 bytes), or the empty slot where it
-  /// belongs. The table must have an empty slot.
-  static IdCount& probe(std::span<IdCount> table,
-                        const crypto::DescriptorId& id);
-
-  /// Counts requests[from], requests[from + 1], ... into `table`
-  /// through probe() until done or until one more distinct id would
-  /// fill it past half; returns the index it stopped at, so the caller
-  /// grows the table and calls again from there.
+  /// Counts the ids of items[from], items[from + 1], ... (requests or
+  /// bare ids) into `table` until done or until one more distinct id
+  /// would fill it past half; returns the index it stopped at, so the
+  /// caller grows the table and calls again from there.
   /// `distinct` is the number of occupied slots.
-  static std::size_t count_request_ids(
-      std::span<const DescriptorRequest> requests, std::size_t from,
-      std::span<IdCount> table, std::size_t& distinct);
+  template <typename Item>
+  static std::size_t count_request_ids(std::span<const Item> items,
+                                       std::size_t from,
+                                       std::span<IdCount> table,
+                                       std::size_t& distinct);
 
-  /// The join (Sec. V method): packs the counted ids of `table` to its
-  /// front, sorts them by id and merge-joins them against the sorted
-  /// dictionary, adding each resolved id's count to
-  /// `onion_counts[slot]` (sized onions_.size()). All storage is the
-  /// caller's; `table` is left reordered.
-  void tally_requests(std::span<IdCount> table,
-                      std::span<std::int64_t> onion_counts,
-                      ResolutionReport& report) const;
+  /// The table of the distinct ids of `items`, counted, no owners yet.
+  template <typename Item>
+  static std::vector<IdCount> count_ids(std::span<const Item> items);
+
+  /// Derives one onion's ids, SHA1(pid || secrets[i]) for each secret,
+  /// and probes each into `table`; writes the slot index of every id
+  /// the table holds to `hits` (sized at least secrets.size()) and
+  /// returns how many it wrote.
+  static std::size_t derive_and_probe(const crypto::PermanentId& pid,
+                                      std::span<const crypto::Sha1Digest>
+                                          secrets,
+                                      std::span<const IdCount> table,
+                                      std::span<std::size_t> hits);
+
+  /// The join (Sec. V method): sets the owner of every slot of `table`
+  /// that a recorded onion derives in the window. Tasks over contiguous
+  /// runs of onions derive and probe in parallel, then a serial fold in
+  /// task order assigns owners, so the last input position wins.
+  void join(std::span<IdCount> table) const;
+
+  /// Adds each owned slot's count to `onion_counts[owner]` (sized
+  /// onions_.size()) and to the report's resolved totals.
+  static void tally_requests(std::span<const IdCount> table,
+                             std::span<std::int64_t> onion_counts,
+                             ResolutionReport& report);
 
   ResolverConfig config_;
-  /// Sorted by descriptor id, one contiguous 24-byte entry per distinct
-  /// derived id: binary-searched by resolve_id, merge-joined by the
-  /// tally.
-  std::vector<Entry> dictionary_;
   /// The input permanent ids in input order; rendered as onion text
   /// only for the rows of a report.
   std::vector<crypto::PermanentId> onions_;

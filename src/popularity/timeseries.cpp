@@ -22,11 +22,17 @@ TimeSeriesReport build_time_series(const RequestStream& stream,
       std::max<util::Seconds>(1, (end - start + config.windows - 1) /
                                      config.windows);
 
+  std::vector<crypto::DescriptorId> ids;
+  ids.reserve(stream.requests.size());
+  for (const DescriptorRequest& req : stream.requests)
+    ids.push_back(req.descriptor_id);
+  const std::vector<std::optional<std::string>> onions =
+      resolver.resolve_ids(ids);
   std::unordered_map<std::string, std::vector<std::int64_t>> buckets;
-  for (const DescriptorRequest& req : stream.requests) {
-    const auto onion = resolver.resolve_id(req.descriptor_id);
-    if (!onion) continue;  // phantom / unresolvable
-    auto& windows = buckets[*onion];
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const DescriptorRequest& req = stream.requests[i];
+    if (!onions[i]) continue;  // phantom / unresolvable
+    auto& windows = buckets[*onions[i]];
     if (windows.empty())
       windows.assign(static_cast<std::size_t>(config.windows), 0);
     const auto index = std::min<std::int64_t>(

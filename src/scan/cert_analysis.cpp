@@ -22,7 +22,7 @@ CertReport analyse_certificates(const population::Population& pop,
     if (cert.common_name_is_public_dns()) {
       ++report.public_dns_cn;
       CertFinding finding;
-      finding.onion = obs.onion;
+      finding.onion = pop.onion(obs.service);
       finding.port = obs.port;
       finding.common_name = cert.common_name;
       finding.self_signed = cert.self_signed;

@@ -1,6 +1,8 @@
 #include "scan/crawler.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <string>
 
 #include "content/html.hpp"
 
@@ -34,6 +36,18 @@ CrawlReport Crawler::crawl(const population::Population& pop,
   // same (onion, port): tag the key with a crawl epoch.
   constexpr std::uint64_t kCrawlEpoch = 0x10000;
   CrawlReport report;
+  // A service's observations are consecutive, so its onion text is
+  // rendered once per run of them, and only when a probe needs it.
+  std::string onion;
+  std::optional<population::ServiceId> onion_of;
+  const auto onion_text = [&](population::ServiceId service)
+      -> const std::string& {
+    if (onion_of != service) {
+      onion = pop.onion(service);
+      onion_of = service;
+    }
+    return onion;
+  };
 
   for (const PortObservation& obs : scan.observations) {
     // The paper excluded the 55080 botnet signature from the crawl.
@@ -68,7 +82,8 @@ CrawlReport Crawler::crawl(const population::Population& pop,
     // Injected connection faults on the established circuit.
     bool corrupted = false;
     if (injector.enabled()) {
-      const std::uint64_t key = fault::FaultInjector::key_of(obs.onion);
+      const std::uint64_t key =
+          fault::FaultInjector::key_of(onion_text(obs.service));
       const std::uint64_t detail = kCrawlEpoch | obs.port;
       bool reached = false;
       bool dropped = false;
@@ -111,7 +126,7 @@ CrawlReport Crawler::crawl(const population::Population& pop,
     ++report.connected;
 
     content::CrawlDestination dest;
-    dest.onion = obs.onion;
+    dest.onion = onion_text(obs.service);
     dest.port = obs.port;
     dest.connected = true;
     dest.protocol = ps->protocol;

@@ -76,8 +76,8 @@ ScanReport PortScanner::scan(const population::Population& pop) const {
     if (!svc.published_at_scan()) return out;
     out.scanned = true;
     util::Rng rng = base.child(index);
-    const std::string onion = svc.onion();
-    const std::uint64_t onion_key = fault::FaultInjector::key_of(onion);
+    const std::uint64_t onion_key =
+        injector.enabled() ? fault::FaultInjector::key_of(svc.onion()) : 0;
 
     // Which scan days is this host up on? Drawn once per host so a host
     // that died mid-window misses every range scanned after its death.
@@ -152,7 +152,6 @@ ScanReport PortScanner::scan(const population::Population& pop) const {
       }
       PortObservation obs;
       obs.service = static_cast<population::ServiceId>(index);
-      obs.onion = onion;
       obs.port = port;
       obs.result = result;
       obs.scan_day = day;

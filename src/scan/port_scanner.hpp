@@ -45,9 +45,9 @@ struct ScanConfig {
 
 /// One per-destination observation.
 struct PortObservation {
-  /// The observed service in the scanned population.
+  /// The observed service in the scanned population; its onion text is
+  /// pop.onion(service), rendered only where it is printed.
   population::ServiceId service = 0;
-  std::string onion;  ///< == pop.onion(service)
   std::uint16_t port = 0;
   net::ConnectResult result = net::ConnectResult::kClosed;
   int scan_day = 0;

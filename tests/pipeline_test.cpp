@@ -55,7 +55,7 @@ std::string render(const scan::ScanReport& report) {
   render_histogram(os, "timeout", report.timeout_ports);
   render_histogram(os, "closed", report.closed_ports);
   for (const auto& o : report.observations)
-    os << o.onion << ' ' << o.port << ' ' << static_cast<int>(o.result)
+    os << o.service << ' ' << o.port << ' ' << static_cast<int>(o.result)
        << ' ' << o.scan_day << ' ' << static_cast<int>(o.protocol) << '\n';
   return os.str();
 }

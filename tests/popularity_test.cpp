@@ -6,7 +6,10 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "crypto/digest.hpp"
 #include "popularity/request_generator.hpp"
 #include "popularity/resolver.hpp"
 
@@ -238,11 +241,28 @@ TEST(RequestGeneratorTest, RejectsNegativePhantomIdRatio) {
 // ---------------------------------------------------------------------
 
 TEST(ResolverTest, DictionaryCoversDerivationWindow) {
-  const auto& fixture = resolved();
-  // 12 days x 2 replicas per onion, minus duplicates from period
-  // offsets: at least 20 ids per onion.
-  EXPECT_GE(fixture.resolver.dictionary_size(),
-            test_population().size() * 20);
+  // Every id an onion derives on any day of the default window
+  // (28 Jan – 8 Feb 2013, 12 days x 2 replicas) resolves to that onion.
+  const Population& pop = test_population();
+  std::vector<crypto::DescriptorId> ids;
+  std::vector<std::optional<std::string>> want;
+  for (population::ServiceId id = 0; id < pop.size(); ++id) {
+    const crypto::PermanentId pid = pop.permanent_id(id);
+    for (util::UnixTime t = util::make_utc(2013, 1, 28);
+         t < util::make_utc(2013, 2, 9); t += util::kSecondsPerDay)
+      for (const crypto::DescriptorId& derived :
+           crypto::descriptor_ids_for_period(pid,
+                                             crypto::time_period(t, pid))) {
+        ids.push_back(derived);
+        want.emplace_back(pop.onion(id));
+      }
+  }
+  ASSERT_EQ(ids.size(), pop.size() * 24);
+  const std::vector<std::optional<std::string>> got =
+      resolved().resolver.resolve_ids(ids);
+  ASSERT_EQ(got.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << "id " << i;
 }
 
 TEST(ResolverTest, UnresolvedShareMatchesPaper) {

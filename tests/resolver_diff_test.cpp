@@ -1,9 +1,10 @@
-// Differential gate for the resolver's sorted-vector dictionary (ring
-// sort with parallel bucket sorts) and its hash-counted, merge-joined
-// request tally: a std::map dictionary built the serial way (insert
-// every derived id in onion order, last writer wins) and a map-counted
-// join are replayed against DescriptorResolver at threads 1 and 4, on
-// the generated stream and on adversarial ones.
+// Differential gate for the resolver's hash join (the distinct
+// requested ids counted into a table, every onion's derived ids probed
+// into it by parallel tasks over runs of onions, owners folded in task
+// order): a std::map dictionary built the serial way (insert every
+// derived id in onion order, last writer wins) and a map-counted join
+// are replayed against DescriptorResolver at threads 1, 2 and 4, on the
+// generated stream and on adversarial ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -142,24 +143,37 @@ void expect_same_report(const ResolutionReport& got,
   }
 }
 
-/// dictionary_size() and resolve_id() for every derived id and for
-/// 1,000 random ids.
+/// resolve_ids() for every derived id and for 1,000 random ids, in one
+/// call.
 void expect_same_dictionary(const DescriptorResolver& resolver,
                             const OracleResolver& oracle) {
-  ASSERT_EQ(resolver.dictionary_size(), oracle.dictionary().size());
-  for (const auto& [id, onion] : oracle.dictionary())
-    EXPECT_EQ(resolver.resolve_id(id), std::optional<std::string>(onion));
+  std::vector<crypto::DescriptorId> ids;
+  std::vector<std::optional<std::string>> want;
+  for (const auto& [id, onion] : oracle.dictionary()) {
+    ids.push_back(id);
+    want.emplace_back(onion);
+  }
   util::Rng rng(79);
   for (int i = 0; i < 1000; ++i) {
     crypto::DescriptorId id{};
     rng.fill_bytes(id.data(), id.size());
     const auto it = oracle.dictionary().find(id);
-    const std::optional<std::string> want =
-        it == oracle.dictionary().end()
-            ? std::nullopt
-            : std::optional<std::string>(it->second);
-    EXPECT_EQ(resolver.resolve_id(id), want);
+    ids.push_back(id);
+    want.push_back(it == oracle.dictionary().end()
+                       ? std::nullopt
+                       : std::optional<std::string>(it->second));
   }
+  const std::vector<std::optional<std::string>> got = resolver.resolve_ids(ids);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], want[i]) << "id " << i;
+}
+
+/// Every id of the oracle's dictionary, in id order.
+std::vector<crypto::DescriptorId> dictionary_ids(const OracleResolver& oracle) {
+  std::vector<crypto::DescriptorId> ids;
+  for (const auto& entry : oracle.dictionary()) ids.push_back(entry.first);
+  return ids;
 }
 
 std::string upper(std::string text) {
@@ -216,6 +230,8 @@ TEST_P(ResolverDiffTest, EmptyStreamAndEmptyDictionary) {
   expect_same_report(resolver.resolve(empty_stream),
                      oracle.resolve(empty_stream, nullptr));
 
+  // No onions at all: a non-empty stream still counts its ids and
+  // resolves none of them.
   const OracleResolver empty_oracle({});
   DescriptorResolver empty_resolver({.threads = GetParam()});
   empty_resolver.build_dictionary(std::span<const crypto::PermanentId>());
@@ -265,8 +281,10 @@ TEST_P(ResolverDiffTest, NonDefaultWindowsMatchMapOracle) {
   for (const Window window : {
            Window{march + 12345, march + 5 * util::kSecondsPerDay + 777},
            Window{march, march + 3 * util::kSecondsPerDay},
+           // 20 days: 40 ids per onion, more than one derivation run.
+           Window{march, march + 20 * util::kSecondsPerDay},
            Window{march + 86000, march + 86001},  // one day
-           Window{march + 40000, march + 40000},  // no day at all
+           Window{march + 40000, march + 40000},  // from == to: no day
        }) {
     SCOPED_TRACE("window " + std::to_string(window.from) + ".." +
                  std::to_string(window.to));
@@ -339,8 +357,8 @@ TEST_P(ResolverDiffTest, IdsDifferingInOneByteCountApart) {
 
 TEST_P(ResolverDiffTest, RingEndIdsResolve) {
   // The dictionary's first and last ids, and the two ends of the ring
-  // themselves (0x00... and 0xff..., not in the dictionary): the merge
-  // join must neither run off either end nor skip the end entries.
+  // themselves (0x00... and 0xff..., not in the dictionary): the end
+  // ids resolve like any other, the ring's ends resolve nothing.
   const PopulationJoin join(GetParam());
   crypto::DescriptorId zero{};
   crypto::DescriptorId ones{};
@@ -366,7 +384,37 @@ TEST_P(ResolverDiffTest, StreamWithNoResolvableId) {
   join.expect_same(stream);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, ResolverDiffTest, ::testing::Values(1, 4));
+TEST_P(ResolverDiffTest, RepeatedOnionAtBothEndsFillsOneRow) {
+  // Positions 0 and n - 1 fall in the first and the last derive-and-probe
+  // task, and the fold must give all of the onion's ids to one of them
+  // (the last, as the serial insert does). Both copies render the same
+  // text, so ids split between the positions would put that onion in
+  // two ranking rows; a stream asking for every derived id shows it.
+  std::vector<std::string> onions = population_onions();
+  onions.push_back(onions.front());
+  const OracleResolver oracle(onions);
+  DescriptorResolver resolver({.threads = GetParam()});
+  resolver.build_dictionary(permanent_ids(onions));
+  expect_same_dictionary(resolver, oracle);
+  expect_same_report(resolver.resolve(test_stream()),
+                     oracle.resolve(test_stream(), nullptr));
+  const RequestStream every_id = stream_of(dictionary_ids(oracle), 40'000);
+  expect_same_report(resolver.resolve(every_id),
+                     oracle.resolve(every_id, nullptr));
+}
+
+TEST_P(ResolverDiffTest, EveryDerivedIdRequestedOnce) {
+  const PopulationJoin join(GetParam());
+  const std::vector<crypto::DescriptorId> ids = dictionary_ids(join.oracle);
+  const RequestStream stream = stream_of(ids, ids.size());
+  const ResolutionReport report = join.resolver.resolve(stream);
+  EXPECT_EQ(report.resolved_descriptor_ids,
+            static_cast<std::int64_t>(ids.size()));
+  EXPECT_EQ(report.resolved_requests, static_cast<std::int64_t>(ids.size()));
+  join.expect_same(stream);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ResolverDiffTest, ::testing::Values(1, 2, 4));
 
 }  // namespace
 }  // namespace torsim::popularity

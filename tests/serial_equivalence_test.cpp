@@ -1,6 +1,6 @@
 // Serial-equivalence goldens for the parallel fan-out call sites: the
 // FIG1 port scan, the FIG2 content pipeline, the TAB2 descriptor-ID
-// dictionary, and the harvest metrics and trace must produce *byte-identical*
+// join, and the harvest metrics and trace must produce *byte-identical*
 // output at threads = 1 (the legacy serial path) and threads = 4 —
 // same seed, same CSV, same summary. This is the determinism contract
 // of util::parallel (see docs/concurrency.md) checked end to end.
@@ -8,11 +8,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "attack/harvester.hpp"
 #include "content/pipeline.hpp"
+#include "crypto/digest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/world.hpp"
@@ -76,7 +79,8 @@ std::string scan_summary_csv(const scan::ScanReport& report,
       csv.typed_row(label, count);
     // Every single observation, in report order.
     for (const auto& obs : report.observations)
-      csv.typed_row(obs.onion, obs.port, static_cast<int>(obs.result),
+      csv.typed_row(test_population().onion(obs.service), obs.port,
+                    static_cast<int>(obs.result),
                     obs.scan_day, static_cast<int>(obs.protocol));
   });
 }
@@ -119,7 +123,8 @@ std::string faulted_scan_csv(const scan::ScanReport& report,
     csv.typed_row("probes_corrupt", report.probes_corrupt);
     csv.typed_row("probes_recovered", report.probes_recovered);
     for (const auto& obs : report.observations)
-      csv.typed_row(obs.onion, obs.port, static_cast<int>(obs.result),
+      csv.typed_row(test_population().onion(obs.service), obs.port,
+                    static_cast<int>(obs.result),
                     obs.scan_day, static_cast<int>(obs.protocol));
     // The full typed-failure log, in report order.
     for (const auto& record : report.failures)
@@ -203,7 +208,7 @@ TEST(SerialEquivalenceTest, Fig2PipelineByteIdentical) {
 }
 
 // ---------------------------------------------------------------------
-// TAB2 — descriptor-ID dictionary + resolution
+// TAB2 — descriptor-ID join + resolution
 // ---------------------------------------------------------------------
 
 std::string resolution_summary_csv(const popularity::ResolutionReport& report,
@@ -230,7 +235,6 @@ TEST(SerialEquivalenceTest, Tab2ResolutionByteIdentical) {
       popularity::ResolverConfig{.threads = 4});
   parallel.build_dictionary(test_population());
 
-  EXPECT_EQ(serial.dictionary_size(), parallel.dictionary_size());
   EXPECT_EQ(
       resolution_summary_csv(serial.resolve(stream, test_population()),
                              "tab2_serial"),
@@ -238,27 +242,58 @@ TEST(SerialEquivalenceTest, Tab2ResolutionByteIdentical) {
                              "tab2_parallel"));
 }
 
-TEST(SerialEquivalenceTest, Tab2DictionaryEntriesIdentical) {
-  // Same onions, duplicated to exercise the last-writer-wins insert
-  // order the serial loop defines.
+TEST(SerialEquivalenceTest, Tab2JoinIdentical) {
+  // Same onions, the first 50 repeated at the end to exercise the
+  // last-writer-wins rule the serial insert order defines.
   std::vector<crypto::PermanentId> onions;
   for (population::ServiceId id = 0; id < 200; ++id)
     onions.push_back(test_population().permanent_id(id));
   onions.insert(onions.end(), onions.begin(), onions.begin() + 50);
 
-  popularity::DescriptorResolver serial(
-      popularity::ResolverConfig{.threads = 1});
-  serial.build_dictionary(onions);
-  popularity::DescriptorResolver parallel(
-      popularity::ResolverConfig{.threads = 4});
-  parallel.build_dictionary(onions);
-  ASSERT_EQ(serial.dictionary_size(), parallel.dictionary_size());
+  // Every id the default window (28 Jan – 8 Feb 2013) derives, with the
+  // input position that derives it last, and a stream asking for each
+  // distinct one once.
+  std::vector<crypto::DescriptorId> ids;
+  std::map<crypto::DescriptorId, std::size_t> last_position;
+  for (std::size_t position = 0; position < onions.size(); ++position) {
+    const crypto::PermanentId& pid = onions[position];
+    for (util::UnixTime t = util::make_utc(2013, 1, 28);
+         t < util::make_utc(2013, 2, 9); t += util::kSecondsPerDay)
+      for (const crypto::DescriptorId& id : crypto::descriptor_ids_for_period(
+               pid, crypto::time_period(t, pid))) {
+        ids.push_back(id);
+        last_position[id] = position;
+      }
+  }
+  popularity::RequestStream stream;
+  for (const auto& [id, position] : last_position)
+    stream.requests.push_back({id, 0});
 
-  // Spot-check the join itself: every derived id resolves identically.
-  popularity::DescriptorResolver probe(
-      popularity::ResolverConfig{.threads = 1});
-  probe.build_dictionary(onions);
-  EXPECT_EQ(probe.dictionary_size(), serial.dictionary_size());
+  std::string serial_csv;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    popularity::DescriptorResolver resolver(
+        popularity::ResolverConfig{.threads = threads});
+    resolver.build_dictionary(onions);
+    const std::vector<std::optional<std::string>> got =
+        resolver.resolve_ids(ids);
+    ASSERT_EQ(got.size(), ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      ASSERT_EQ(got[i],
+                crypto::onion_address(onions[last_position.at(ids[i])]))
+          << "id " << i;
+    // A repeated onion renders the same text at both positions; had its
+    // ids been split between them, that onion would fill two ranking
+    // rows.
+    const popularity::ResolutionReport report = resolver.resolve(stream);
+    EXPECT_EQ(report.resolved_descriptor_ids,
+              static_cast<std::int64_t>(last_position.size()));
+    EXPECT_EQ(report.resolved_onions, 200);
+    const std::string csv = resolution_summary_csv(
+        report, "tab2_join_t" + std::to_string(threads));
+    if (threads == 1) serial_csv = csv;
+    EXPECT_EQ(csv, serial_csv);
+  }
 }
 
 // ---------------------------------------------------------------------
