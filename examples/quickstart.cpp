@@ -25,7 +25,7 @@ int main() {
   // Operator side: create a hidden service. Its .onion address is the
   // base32 of the SHA-1 of its public key, exactly as in Tor.
   const auto index = world.add_service();
-  const hs::ServiceHost& service = world.service(index);
+  const auto service = world.service(index);
   std::printf("\nhidden service published: %s.onion\n",
               service.onion_address().c_str());
   for (const auto& id : service.current_descriptor_ids(world.now())) {

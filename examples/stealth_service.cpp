@@ -18,15 +18,13 @@ int main() {
   config.honest_relays = 300;
   sim::World world(config);
 
-  // Operator side: a cookie-protected service. The cookie is installed
-  // *before* the first publication — a service that ever published
-  // publicly leaves its plain descriptors on the HSDirs until expiry.
-  auto service = hs::ServiceHost::create(world.rng(), world.now());
+  // Operator side: a cookie-protected service. The cookie comes with
+  // the service, so its first publication is already cookie-mixed — a
+  // service that ever published publicly leaves its plain descriptors
+  // on the HSDirs until expiry.
   const std::vector<std::uint8_t> cookie = {0xc0, 0x0c, 0x1e, 0x55};
-  service.set_descriptor_cookie(cookie);
-  service.maintain_guards(world.consensus(), world.rng(), world.now());
-  service.maybe_publish(world.consensus(), world.directories(), world.rng(),
-                        world.now(), /*force=*/true);
+  const auto service = world.service(
+      world.add_service(crypto::KeyPair::generate(world.rng()), cookie));
   std::printf("stealth service: %s.onion (cookie-protected)\n",
               service.onion_address().c_str());
 
@@ -53,11 +51,11 @@ int main() {
   // API, so we show the pieces separately: fetch above, then a public
   // sibling service for the handshake.)
   const auto public_index = world.add_service();
-  hs::ServiceHost& public_service = world.service(public_index);
+  const auto public_service = world.service(public_index);
   public_service.maintain_guards(world.consensus(), world.rng(), world.now());
   const auto session = hs::rendezvous_connect(
-      member, public_service, world.consensus(), world.directories(),
-      world.rng(), world.now());
+      member, public_service.onion_address(), public_service.guards(),
+      world.consensus(), world.directories(), world.rng(), world.now());
   std::printf("\nrendezvous with a public service: %s\n",
               session.success ? "ESTABLISHED" : to_string(session.failure));
   if (session.success) {

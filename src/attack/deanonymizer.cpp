@@ -26,7 +26,7 @@ void ClientDeanonymizer::deploy_guards(sim::World& world, int pre_aged_days) {
 }
 
 int ClientDeanonymizer::position_hsdirs(sim::World& world,
-                                        const hs::ServiceHost& target) {
+                                        sim::World::ConstServiceRef target) {
   const std::uint32_t period =
       crypto::time_period(world.now(), target.permanent_id());
   if (period == positioned_period_ && !hsdirs_.empty()) return 0;
@@ -72,7 +72,7 @@ int ClientDeanonymizer::position_hsdirs(sim::World& world,
 }
 
 std::optional<util::Ipv4> ClientDeanonymizer::observe_publish(
-    const hs::PublishRecord& record, const util::Ipv4& service_address,
+    const sim::PublishRecord& record, const util::Ipv4& service_address,
     util::Rng& rng) {
   ++report_.publishes_observed;
 

@@ -66,7 +66,8 @@ class ClientDeanonymizer {
   /// and fingerprint-switches the standing relays onto them — exactly
   /// the behaviour Sec. VII's detector keys on. Returns the number of
   /// relays repositioned.
-  int position_hsdirs(sim::World& world, const hs::ServiceHost& target);
+  int position_hsdirs(sim::World& world,
+                      sim::World::ConstServiceRef target);
 
   /// Processes one observed client fetch, simulating the cell trace.
   /// Returns the recovered client address when deanonymisation succeeds.
@@ -77,7 +78,7 @@ class ClientDeanonymizer {
   /// uploads its descriptor to an attacker HSDir, the directory replies
   /// with the traffic signature; if the upload circuit's guard is also
   /// the attacker's, the guard links the signature to the operator's IP.
-  std::optional<util::Ipv4> observe_publish(const hs::PublishRecord& record,
+  std::optional<util::Ipv4> observe_publish(const sim::PublishRecord& record,
                                            const util::Ipv4& service_address,
                                            util::Rng& rng);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string_view>
 
 #include "crypto/digest.hpp"
 #include "util/logging.hpp"
@@ -62,16 +61,14 @@ void ShadowHarvester::expose_pair(sim::World& world, int pair_index) {
 void ShadowHarvester::collect(const sim::World& world, CollectState& state,
                               HarvestReport& report) const {
   const std::optional<util::UnixTime> since = state.last_collect;
+  state.seen_keys.resize(world.directories().keys().size());
   for (relay::RelayId id : relays_) {
     const hsdir::DescriptorStore* store = world.directories().find_store(id);
     if (store == nullptr) continue;
     store->for_each_descriptor([&](const hsdir::DescriptorView& d) {
       if (since && d.published <= *since) return;
-      const std::string_view key(
-          reinterpret_cast<const char*>(d.service_public_key.data()),
-          d.service_public_key.size());
-      if (state.seen_keys.contains(key)) return;
-      state.seen_keys.emplace(key);
+      if (state.seen_keys[d.key]) return;
+      state.seen_keys[d.key] = true;
       report.onions.insert(
           crypto::onion_address_from_public_key(d.service_public_key));
     });

@@ -16,7 +16,6 @@
 // 39,824 onion addresses.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -85,16 +84,16 @@ class ShadowHarvester {
     /// before it were read then (stores are written only inside
     /// step_hour, after the clock advanced).
     std::optional<util::UnixTime> last_collect;
-    /// Public keys already turned into onion addresses.
-    std::set<std::string, std::less<>> seen_keys;
+    /// Key-table handles already turned into onion addresses.
+    std::vector<bool> seen_keys;
   };
 
   /// Makes exactly the pair with index `pair_index` on each IP visible
   /// to the authorities.
   void expose_pair(sim::World& world, int pair_index);
   /// Adds the onion address of every descriptor the fleet's stores
-  /// received since the previous collect, hashing each distinct public
-  /// key once.
+  /// received since the previous collect, deriving one address per
+  /// key-table handle.
   void collect(const sim::World& world, CollectState& state,
                HarvestReport& report) const;
 

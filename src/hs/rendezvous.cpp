@@ -19,7 +19,8 @@ const char* to_string(RendezvousFailure failure) {
   return "?";
 }
 
-RendezvousOutcome rendezvous_connect(Client& client, ServiceHost& service,
+RendezvousOutcome rendezvous_connect(Client& client, std::string_view onion,
+                                     const GuardManager& service_guards,
                                      const dirauth::Consensus& consensus,
                                      hsdir::DirectoryNetwork& dirnet,
                                      util::Rng& rng, util::UnixTime now,
@@ -27,8 +28,8 @@ RendezvousOutcome rendezvous_connect(Client& client, ServiceHost& service,
   RendezvousOutcome outcome;
 
   // Step 0: the client needs the descriptor (guard-fronted fetch).
-  outcome.fetch = client.fetch_descriptor(service.onion_address(), consensus,
-                                          dirnet, now, cookie);
+  outcome.fetch =
+      client.fetch_descriptor(onion, consensus, dirnet, now, cookie);
   if (!outcome.fetch.found) {
     outcome.failure = RendezvousFailure::kNoDescriptor;
     return outcome;
@@ -140,7 +141,7 @@ RendezvousOutcome rendezvous_connect(Client& client, ServiceHost& service,
 
   // Step 3/4: the service receives INTRODUCE2 over its intro circuit and
   // builds a guard-fronted circuit to the rendezvous point.
-  const auto service_guard = service.guards().pick(consensus, rng);
+  const auto service_guard = service_guards.pick(consensus, rng);
   if (!service_guard) {
     outcome.failure = RendezvousFailure::kNoServiceGuard;
     return outcome;

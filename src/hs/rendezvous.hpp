@@ -17,9 +17,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "hs/client.hpp"
-#include "hs/service_host.hpp"
+#include "hs/guard_manager.hpp"
 
 namespace torsim::hs {
 
@@ -59,11 +60,13 @@ struct RendezvousOutcome {
   util::Seconds backoff_spent = 0;
 };
 
-/// Runs the whole protocol between `client` and `service` against the
+/// Runs the whole protocol between `client` and the service at `onion`,
+/// whose own circuits enter through `service_guards`, against the
 /// current consensus + directory network. The service must have
 /// published; both sides must have maintained guards. For an
 /// authenticated service, pass the shared descriptor `cookie`.
-RendezvousOutcome rendezvous_connect(Client& client, ServiceHost& service,
+RendezvousOutcome rendezvous_connect(Client& client, std::string_view onion,
+                                     const GuardManager& service_guards,
                                      const dirauth::Consensus& consensus,
                                      hsdir::DirectoryNetwork& dirnet,
                                      util::Rng& rng, util::UnixTime now,

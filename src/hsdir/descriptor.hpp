@@ -42,14 +42,4 @@ Descriptor make_descriptor(const crypto::KeyPair& key,
                            std::uint8_t replica, util::UnixTime now,
                            std::span<const std::uint8_t> cookie = {});
 
-/// The same descriptor, from a permanent id, time period and replica
-/// descriptor id the caller already derived for `key` at `now`
-/// (hs::ServiceHost keeps them for its current period).
-Descriptor make_descriptor(const crypto::KeyPair& key,
-                           const crypto::PermanentId& permanent_id,
-                           std::uint32_t time_period,
-                           const crypto::DescriptorId& descriptor_id,
-                           std::vector<crypto::Fingerprint> intro_points,
-                           std::uint8_t replica, util::UnixTime now);
-
 }  // namespace torsim::hsdir

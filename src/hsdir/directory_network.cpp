@@ -15,8 +15,10 @@ DescriptorStore& DirectoryNetwork::store_for(relay::RelayId id) {
 }
 
 std::vector<relay::RelayId> DirectoryNetwork::publish(
-    std::span<const Descriptor> descriptors,
+    KeyTable::Handle key, std::span<const Descriptor> descriptors,
     std::span<const dirauth::ResponsibleSet> responsible) {
+  if (!keys_.contains(key))
+    throw std::out_of_range("DirectoryNetwork::publish: unknown key handle");
   if (responsible.size() != descriptors.size())
     throw std::invalid_argument(
         "DirectoryNetwork::publish: one responsible set per descriptor");
@@ -29,7 +31,6 @@ std::vector<relay::RelayId> DirectoryNetwork::publish(
   std::int64_t stored = 0;
   for (std::size_t i = 0; i < descriptors.size(); ++i) {
     const Descriptor& d = descriptors[i];
-    const KeyTable::Handle key = keys_.intern(d.service_public_key);
     const std::uint64_t descriptor_key = fault::FaultInjector::key_of(
         d.descriptor_id.data(), d.descriptor_id.size());
     for (std::uint8_t k = 0; k < responsible[i].count; ++k) {

@@ -1,7 +1,7 @@
 // The distributed descriptor directory: one DescriptorStore per relay,
 // in a vector indexed by simulator relay id (ids are dense, see
-// relay::Registry::create), and one KeyTable all stores share.
-// Publish/fetch route via the consensus ring.
+// relay::Registry::create), and one append-only KeyTable all stores
+// share. Publish/fetch route via the consensus ring.
 #pragma once
 
 #include <span>
@@ -52,6 +52,14 @@ class DirectoryNetwork {
     return id < stores_.size() ? &stores_[id] : nullptr;
   }
 
+  /// Appends a service public key to the shared key table and returns
+  /// its handle, the name publish() takes for it (sim::World adds each
+  /// service's key once, at add_service).
+  KeyTable::Handle add_key(std::span<const std::uint8_t> key) {
+    return keys_.add(key);
+  }
+  const KeyTable& keys() const { return keys_; }
+
   /// Installs (or clears) the fault injector consulted by publish and
   /// fetch paths. The injector must outlive this network; sim::World
   /// owns both. No injector = the exact legacy behaviour.
@@ -63,11 +71,13 @@ class DirectoryNetwork {
   /// Publishes one service's replicas: descriptors[i] goes to the
   /// directories of responsible[i], the responsible set of its
   /// descriptor id that the caller already walked under the current
-  /// consensus (hs::ServiceHost needs that walk anyway to decide
-  /// whether to republish). Each descriptor's key is interned once,
-  /// whatever the number of directories. Throws std::invalid_argument,
-  /// storing nothing, when the two spans differ in length or a
-  /// descriptor has more than kMaxIntroPoints introduction points.
+  /// consensus (sim::World needs that walk anyway to decide whether to
+  /// republish). Every copy names the service key by `key`, a handle
+  /// from add_key(); the descriptors' service_public_key is not read.
+  /// Throws, storing nothing, std::out_of_range when `key` is not in
+  /// the key table, and std::invalid_argument when the two spans
+  /// differ in length or a descriptor has more than kMaxIntroPoints
+  /// introduction points.
   /// Returns the relay ids that received a copy (with duplicates
   /// removed). Under an active fault plan, each per-directory upload
   /// is retried (bounded, exponential backoff) when lost; uploads still
@@ -75,7 +85,7 @@ class DirectoryNetwork {
   /// kPublishLost, and delayed uploads are stored but only fetchable
   /// after the delay.
   std::vector<relay::RelayId> publish(
-      std::span<const Descriptor> descriptors,
+      KeyTable::Handle key, std::span<const Descriptor> descriptors,
       std::span<const dirauth::ResponsibleSet> responsible);
 
   /// Fetches `id` from one responsible HSDir under `consensus`;

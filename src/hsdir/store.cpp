@@ -20,6 +20,8 @@ auto lower_bound_id(Records& records, const crypto::DescriptorId& id) {
 
 void DescriptorStore::store(const Descriptor& descriptor, KeyTable::Handle key,
                             util::UnixTime visible_after) {
+  if (!keys_->contains(key))
+    throw std::out_of_range("DescriptorStore::store: unknown key handle");
   const std::size_t intro_count = descriptor.introduction_points.size();
   if (intro_count > kMaxIntroPoints)
     throw std::invalid_argument(

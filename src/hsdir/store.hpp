@@ -6,8 +6,10 @@
 // fixed-size records sorted by descriptor id. A record carries its
 // introduction points inline (at most kMaxIntroPoints) and its service
 // public key as a handle into a KeyTable that the whole
-// DirectoryNetwork shares, so a key is held once however many
-// directories and replicas carry it. Nothing is allocated per record.
+// DirectoryNetwork shares. The caller adds each key to the table once
+// and names it by that handle from then on, so a key is held once
+// however many directories and replicas carry it. Nothing is allocated
+// per record.
 #pragma once
 
 #include <array>
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "hsdir/descriptor.hpp"
-#include "util/interner.hpp"
 
 namespace torsim::hsdir {
 
@@ -33,42 +34,53 @@ struct FetchRecord {
 inline constexpr util::Seconds kDescriptorLifetime = 24 * util::kSecondsPerHour;
 
 /// The most introduction points a stored descriptor carries — the
-/// number hs::ServiceHost::maybe_publish picks.
+/// number sim::World::publish picks.
 inline constexpr std::size_t kMaxIntroPoints = 3;
 
-/// Service public keys, each held once. A DirectoryNetwork owns one
-/// table for all its stores; keys are never freed, so a table grows
-/// with the number of distinct services ever published. Interning
-/// compares full key bytes, so two keys never share a handle.
+/// Service public keys in one append-only table. A DirectoryNetwork
+/// owns one table for all its stores; sim::World adds each service's
+/// key once, so a service's index is its key's handle. The table never
+/// hashes or compares key bytes: adding the same bytes twice yields two
+/// handles.
 class KeyTable {
  public:
-  using Handle = util::StringInterner::Id;
+  /// Dense from 0, in insertion order.
+  using Handle = std::uint32_t;
 
-  /// The handle for `key`, inserting it on first sight.
-  Handle intern(std::span<const std::uint8_t> key) {
-    return keys_.intern(std::string_view(
-        reinterpret_cast<const char*>(key.data()), key.size()));
+  /// Appends `key`; returns its handle, the table's size before the add.
+  Handle add(std::span<const std::uint8_t> key) {
+    const auto handle = static_cast<Handle>(ends_.size());
+    bytes_.insert(bytes_.end(), key.begin(), key.end());
+    ends_.push_back(bytes_.size());
+    return handle;
   }
 
-  /// The key bytes behind `handle`; valid for the table's lifetime.
+  /// True when `handle` names a key in the table.
+  bool contains(Handle handle) const { return handle < ends_.size(); }
+
+  /// The key bytes behind `handle`, which must be contained. Valid
+  /// until the next add().
   std::span<const std::uint8_t> bytes(Handle handle) const {
-    const std::string_view key = keys_.view(handle);
-    return {reinterpret_cast<const std::uint8_t*>(key.data()), key.size()};
+    const std::size_t begin = handle == 0 ? 0 : ends_[handle - 1];
+    return {bytes_.data() + begin, ends_[handle] - begin};
   }
 
-  /// Number of distinct keys held.
-  std::size_t size() const { return keys_.size(); }
+  /// Number of keys held.
+  std::size_t size() const { return ends_.size(); }
 
  private:
-  util::StringInterner keys_;
+  std::vector<std::uint8_t> bytes_;  ///< every key, back to back
+  std::vector<std::size_t> ends_;    ///< handle -> one past its last byte
 };
 
 /// A held descriptor as DescriptorStore::for_each_descriptor shows it:
-/// the key bytes are read in place from the key table.
+/// the key bytes are read in place from the key table, and `key` is
+/// their handle there.
 struct DescriptorView {
   const crypto::DescriptorId& descriptor_id;
   util::UnixTime published = 0;
   std::span<const std::uint8_t> service_public_key;
+  KeyTable::Handle key = 0;
 };
 
 class DirectoryNetwork;
@@ -78,12 +90,13 @@ class DescriptorStore {
   /// A store whose keys live in `keys`, which must outlive it.
   explicit DescriptorStore(KeyTable& keys) : keys_(&keys) {}
 
-  /// Stores (or refreshes) a descriptor. Throws std::invalid_argument,
-  /// leaving the store unchanged, when it carries more than
-  /// kMaxIntroPoints introduction points.
-  void store(const Descriptor& descriptor) {
-    store(descriptor, keys_->intern(descriptor.service_public_key),
-          descriptor.visible_after);
+  /// Stores (or refreshes) a descriptor whose service key is the key
+  /// table's entry `key`; descriptor.service_public_key is not read.
+  /// Throws, leaving the store unchanged, std::out_of_range when the
+  /// table holds no entry `key` and std::invalid_argument when the
+  /// descriptor carries more than kMaxIntroPoints introduction points.
+  void store(const Descriptor& descriptor, KeyTable::Handle key) {
+    store(descriptor, key, descriptor.visible_after);
   }
 
   /// Looks a descriptor up by id, honouring expiry at time `now`.
@@ -119,7 +132,7 @@ class DescriptorStore {
   void for_each_descriptor(Visit&& visit) const {
     for (const Record& r : records_)
       visit(DescriptorView{r.descriptor_id, r.published,
-                           keys_->bytes(r.key)});
+                           keys_->bytes(r.key), r.key});
   }
 
   std::size_t size() const { return records_.size(); }
@@ -139,9 +152,8 @@ class DescriptorStore {
     std::array<crypto::Fingerprint, kMaxIntroPoints> introduction_points{};
   };
 
-  /// store() with the key already interned and the directory's own
-  /// visible_after (DirectoryNetwork::publish interns once per
-  /// descriptor and delays per directory).
+  /// store() with the directory's own visible_after
+  /// (DirectoryNetwork::publish delays per directory).
   void store(const Descriptor& descriptor, KeyTable::Handle key,
              util::UnixTime visible_after);
 

@@ -217,7 +217,7 @@ void DescriptorResolver::tally_requests(std::span<const IdCount> table,
   for (const IdCount& slot : table) {
     if (slot.count == 0) continue;
     ++report.unique_descriptor_ids;
-    if (slot.owner == kNoOwner) continue;
+    if (slot.owner == kUnresolved) continue;
     ++report.resolved_descriptor_ids;
     report.resolved_requests += slot.count;
     onion_counts[slot.owner] += slot.count;
@@ -234,16 +234,14 @@ ResolutionReport DescriptorResolver::resolve(
   return resolve_internal(stream, &pop);
 }
 
-std::vector<std::optional<std::string>> DescriptorResolver::resolve_ids(
+std::vector<std::uint32_t> DescriptorResolver::resolve_ids(
     std::span<const crypto::DescriptorId> ids) const {
   std::vector<IdCount> table = count_ids(ids);
   join(table);
-  std::vector<std::optional<std::string>> onions(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const std::uint32_t owner = table[slot_of(table, ids[i])].owner;
-    if (owner != kNoOwner) onions[i] = crypto::onion_address(onions_[owner]);
-  }
-  return onions;
+  std::vector<std::uint32_t> owners(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    owners[i] = table[slot_of(table, ids[i])].owner;
+  return owners;
 }
 
 ResolutionReport DescriptorResolver::resolve_internal(

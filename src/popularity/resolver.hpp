@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -86,20 +85,27 @@ class DescriptorResolver {
                            const population::Population& pop) const;
   ResolutionReport resolve(const RequestStream& stream) const;
 
-  /// Resolves each of `ids` to the onion address that derives it, if
-  /// any: one join over the distinct ids, out[i] for ids[i].
-  std::vector<std::optional<std::string>> resolve_ids(
+  /// What resolve_ids() returns for an id no recorded onion derives.
+  static constexpr std::uint32_t kUnresolved = UINT32_MAX;
+
+  /// Resolves each of `ids` to the input position of the recorded onion
+  /// that derives it, or kUnresolved: one join over the distinct ids,
+  /// out[i] for ids[i]. Nothing is rendered; onion() renders a position.
+  std::vector<std::uint32_t> resolve_ids(
       std::span<const crypto::DescriptorId> ids) const;
 
- private:
-  static constexpr std::uint32_t kNoOwner = UINT32_MAX;
+  /// The onion address recorded at input `position`.
+  std::string onion(std::uint32_t position) const {
+    return crypto::onion_address(onions_.at(position));
+  }
 
+ private:
   /// One slot of the join's open-addressing table: a distinct requested
   /// id, its request count (0 marks an empty slot) and the input
-  /// position of the onion that derives it (kNoOwner if none does).
+  /// position of the onion that derives it (kUnresolved if none does).
   struct IdCount {
     crypto::DescriptorId id{};
-    std::uint32_t owner = kNoOwner;
+    std::uint32_t owner = kUnresolved;
     std::int64_t count = 0;
   };
 

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <map>
 
 #include "stats/descriptive.hpp"
-#include "util/ordered.hpp"
 
 namespace torsim::popularity {
 
@@ -26,13 +25,14 @@ TimeSeriesReport build_time_series(const RequestStream& stream,
   ids.reserve(stream.requests.size());
   for (const DescriptorRequest& req : stream.requests)
     ids.push_back(req.descriptor_id);
-  const std::vector<std::optional<std::string>> onions =
-      resolver.resolve_ids(ids);
-  std::unordered_map<std::string, std::vector<std::int64_t>> buckets;
+  const std::vector<std::uint32_t> owners = resolver.resolve_ids(ids);
+  // Windows per resolved onion, keyed by its input position.
+  std::map<std::uint32_t, std::vector<std::int64_t>> buckets;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const DescriptorRequest& req = stream.requests[i];
-    if (!onions[i]) continue;  // phantom / unresolvable
-    auto& windows = buckets[*onions[i]];
+    if (owners[i] == DescriptorResolver::kUnresolved)
+      continue;  // phantom / unresolvable
+    auto& windows = buckets[owners[i]];
     if (windows.empty())
       windows.assign(static_cast<std::size_t>(config.windows), 0);
     const auto index = std::min<std::int64_t>(
@@ -40,12 +40,12 @@ TimeSeriesReport build_time_series(const RequestStream& stream,
     ++windows[static_cast<std::size_t>(index)];
   }
 
-  for (auto& [onion, windows] : util::sorted_items(buckets)) {
+  for (const auto& [owner, windows] : buckets) {
     std::int64_t total = 0;
     for (std::int64_t c : windows) total += c;
     if (total < config.min_requests) continue;
     RateSeries series;
-    series.onion = onion;
+    series.onion = resolver.onion(owner);
     series.per_window = windows;
     std::vector<double> values(windows.begin(), windows.end());
     series.mean_rate = stats::mean(values);

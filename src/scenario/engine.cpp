@@ -132,7 +132,7 @@ class EventApplier {
     for (int i = 0; i < event.services; ++i) {
       const std::int64_t index = event.first + i;
       if (index >= count) break;
-      hs::ServiceHost& service =
+      const auto service =
           world_.service(static_cast<std::size_t>(index));
       if (!service.online()) continue;
       service.set_online(false);
@@ -148,7 +148,7 @@ class EventApplier {
     for (int i = 0; i < event.services; ++i) {
       const std::int64_t index = event.first + i;
       if (index >= count) break;
-      hs::ServiceHost& old_service =
+      const auto old_service =
           world_.service(static_cast<std::size_t>(index));
       if (!old_service.online()) continue;
       // The v2 identity retires; its successor appears under a fresh

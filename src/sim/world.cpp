@@ -71,8 +71,7 @@ void World::apply_churn() {
 }
 
 void World::publish_services() {
-  for (auto& service : services_)
-    service->maybe_publish(consensus_, dirnet_, rng_, clock_.now());
+  for (std::size_t i = 0; i < service_count(); ++i) publish(i);
 }
 
 void World::set_churn_rates(double down_probability, double up_probability) {
@@ -146,30 +145,176 @@ std::size_t World::add_service() {
   return add_service(crypto::KeyPair::generate(rng_));
 }
 
-std::size_t World::add_service(crypto::KeyPair key) {
-  services_.push_back(
-      std::make_unique<hs::ServiceHost>(std::move(key), clock_.now()));
+std::size_t World::add_service(crypto::KeyPair key,
+                               std::vector<std::uint8_t> cookie) {
+  const std::size_t index = service_count();
+  if (dirnet_.keys().size() != index)
+    throw std::logic_error(
+        "World::add_service: the key table holds keys of no service");
+  dirnet_.add_key(key.public_bytes());
+  const crypto::PermanentId permanent_id =
+      crypto::permanent_id_from_fingerprint(key.fingerprint());
+  const std::uint32_t period = crypto::time_period(clock_.now(), permanent_id);
+  ids_.push_back(
+      crypto::descriptor_ids_for_period(permanent_id, period, cookie));
+  ids_periods_.push_back(period);
+  permanent_ids_.push_back(permanent_id);
+  cookies_.push_back(std::move(cookie));
+  online_.push_back(1);
+  last_periods_.push_back(0);
+  published_once_.push_back(0);
+  last_responsible_.emplace_back();
+  intro_points_.emplace_back();
+  publish_records_.emplace_back();
+  publish_lost_.push_back(0);
+  addresses_.emplace_back();
+  guards_.emplace_back();
   // Publish immediately so a service added mid-simulation is reachable
   // without waiting for the next hour step.
-  services_.back()->maybe_publish(consensus_, dirnet_, rng_, clock_.now());
-  return services_.size() - 1;
+  publish(index);
+  return index;
+}
+
+void World::set_descriptor_cookie(std::size_t index,
+                                  std::vector<std::uint8_t> cookie) {
+  cookies_[index] = std::move(cookie);
+  ids_[index] = crypto::descriptor_ids_for_period(
+      permanent_ids_[index], ids_periods_[index], cookies_[index]);
+}
+
+World::DescriptorIds World::descriptor_ids_at(std::size_t index,
+                                              util::UnixTime now) const {
+  const std::uint32_t period = crypto::time_period(now, permanent_ids_[index]);
+  if (period == ids_periods_[index]) return ids_[index];
+  return crypto::descriptor_ids_for_period(permanent_ids_[index], period,
+                                           cookies_[index]);
+}
+
+namespace {
+
+using ResponsibleSets =
+    std::array<dirauth::ResponsibleSet, crypto::kNumReplicas>;
+
+// True when `sets`, flattened replica by replica, lists exactly the
+// fingerprints in `fingerprints`.
+bool same_directories(const ResponsibleSets& sets,
+                      std::span<const crypto::Fingerprint> fingerprints) {
+  std::size_t k = 0;
+  for (const dirauth::ResponsibleSet& set : sets) {
+    for (std::uint8_t i = 0; i < set.count; ++i, ++k) {
+      if (k >= fingerprints.size() ||
+          set.dirs[i]->fingerprint != fingerprints[k])
+        return false;
+    }
+  }
+  return k == fingerprints.size();
+}
+
+}  // namespace
+
+std::vector<relay::RelayId> World::publish(std::size_t index, bool force) {
+  if (online_[index] == 0) return {};
+  const util::UnixTime now = clock_.now();
+  const crypto::PermanentId& permanent_id = permanent_ids_[index];
+  const std::uint32_t period = crypto::time_period(now, permanent_id);
+  if (period != ids_periods_[index]) {
+    ids_[index] = crypto::descriptor_ids_for_period(permanent_id, period,
+                                                    cookies_[index]);
+    ids_periods_[index] = period;
+  }
+  const DescriptorIds& ids = ids_[index];
+
+  // The currently responsible HSDirs for both replicas.
+  ResponsibleSets responsible;
+  for (std::size_t replica = 0; replica < responsible.size(); ++replica) {
+    dirauth::ResponsibleSet& set = responsible[replica];
+    set.count = static_cast<std::uint8_t>(consensus_.responsible_hsdirs_into(
+        ids[replica], set.dirs.data(), set.dirs.size()));
+  }
+  auto& last_responsible = last_responsible_[index];
+  const bool ring_shifted =
+      !same_directories(responsible, last_responsible.items());
+  if (published_once_[index] != 0 && period == last_periods_[index] &&
+      !ring_shifted && !force)
+    return {};
+
+  // Sample 3 introduction points among Fast relays.
+  auto& intro_points = intro_points_[index];
+  intro_points.count = 0;
+  const auto& fast = consensus_.fast_indices();
+  if (!fast.empty()) {
+    for (std::size_t i = 0; i < hsdir::kMaxIntroPoints; ++i)
+      intro_points.push_back(
+          consensus_.entries()[fast[rng_.index(fast.size())]].fingerprint);
+  }
+
+  // The directories read the key from the key table by handle (the
+  // service index), so the descriptors carry none.
+  std::array<hsdir::Descriptor, crypto::kNumReplicas> descriptors;
+  for (std::size_t replica = 0; replica < descriptors.size(); ++replica) {
+    hsdir::Descriptor& d = descriptors[replica];
+    d.descriptor_id = ids[replica];
+    d.permanent_id = permanent_id;
+    d.introduction_points.assign(intro_points.items().begin(),
+                                 intro_points.items().end());
+    d.replica = static_cast<std::uint8_t>(replica);
+    d.time_period = period;
+    d.published = now;
+  }
+
+  last_periods_[index] = period;
+  published_once_[index] = 1;
+  last_responsible.count = 0;
+  std::array<relay::RelayId, kMaxResponsible> responsible_relays{};
+  std::size_t responsible_count = 0;
+  for (const dirauth::ResponsibleSet& set : responsible) {
+    for (std::uint8_t i = 0; i < set.count; ++i) {
+      last_responsible.push_back(set.dirs[i]->fingerprint);
+      responsible_relays[responsible_count++] = set.dirs[i]->relay;
+    }
+  }
+  const auto receivers = dirnet_.publish(
+      static_cast<hsdir::KeyTable::Handle>(index), descriptors, responsible);
+
+  // Typed outcome: directories the upload never reached despite the
+  // network's bounded retries (receivers is deduplicated, so compare
+  // against the deduplicated responsible set).
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < responsible_count; ++i) {
+    const auto seen_end = responsible_relays.begin() + i;
+    if (std::find(responsible_relays.begin(), seen_end,
+                  responsible_relays[i]) == seen_end)
+      ++distinct;
+  }
+  publish_lost_[index] = static_cast<int>(distinct - receivers.size());
+
+  // Each upload rides its own guard-fronted circuit (when the service
+  // maintains guards; a guard-less service uploads unprotected, which is
+  // what made the original attack so effective against default setups).
+  auto& records = publish_records_[index];
+  records.count = 0;
+  for (const relay::RelayId hsdir : receivers) {
+    PublishRecord record;
+    record.hsdir = hsdir;
+    if (const auto guard = guards_[index].pick(consensus_, rng_))
+      record.guard = guard->relay;
+    records.push_back(record);
+  }
+  return receivers;
 }
 
 ServiceView World::service_view(std::size_t index) const {
-  if (index >= services_.size())
+  if (index >= service_count())
     throw std::out_of_range("World::service_view: bad service index");
-  const hs::ServiceHost& host = *services_[index];
   ServiceView view;
   view.index = index;
-  view.onion = host.onion_address();
-  view.online = host.online();
-  view.last_published_period = host.last_published_period();
-  const auto ids = host.current_descriptor_ids(clock_.now());
-  for (std::size_t r = 0; r < view.descriptor_hex.size() && r < ids.size();
-       ++r) {
+  view.onion = crypto::onion_address(permanent_ids_[index]);
+  view.online = online_[index] != 0;
+  view.last_published_period = last_periods_[index];
+  const DescriptorIds ids = descriptor_ids_at(index, clock_.now());
+  for (std::size_t r = 0; r < view.descriptor_hex.size(); ++r)
     view.descriptor_hex[r] =
         util::hex_encode(std::span<const std::uint8_t>(ids[r]));
-  }
   return view;
 }
 
@@ -181,8 +326,7 @@ NetworkStats World::network_stats() const {
   for (const relay::Relay& r : registry_.all())
     if (r.online()) ++stats.relays_online;
   stats.hsdir_count = static_cast<std::int64_t>(consensus_.hsdir_count());
-  for (const auto& service : services_)
-    if (service->online()) ++stats.services_online;
+  stats.services_online = std::count(online_.begin(), online_.end(), 1);
   stats.descriptors_stored =
       static_cast<std::int64_t>(dirnet_.descriptors_stored());
   stats.consensus_valid_after = consensus_.valid_after();
@@ -190,13 +334,13 @@ NetworkStats World::network_stats() const {
 }
 
 ResolveView World::resolve_view(std::size_t index) const {
-  if (index >= services_.size())
+  if (index >= service_count())
     throw std::out_of_range("World::resolve_view: bad service index");
   const util::UnixTime now = clock_.now();
-  const auto ids = services_[index]->current_descriptor_ids(now);
+  const DescriptorIds ids = descriptor_ids_at(index, now);
   ResolveView view;
   view.index = index;
-  for (std::size_t r = 0; r < view.resolved.size() && r < ids.size(); ++r) {
+  for (std::size_t r = 0; r < view.resolved.size(); ++r) {
     for (const dirauth::ConsensusEntry* e :
          consensus_.responsible_hsdirs(ids[r])) {
       if (injector_ != nullptr && injector_->hsdir_unresponsive(e->relay, now)) {

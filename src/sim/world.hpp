@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,15 +15,24 @@
 #include "dirauth/authority.hpp"
 #include "fault/injector.hpp"
 #include "hs/client.hpp"
-#include "hs/service_host.hpp"
+#include "hs/guard_manager.hpp"
 #include "hsdir/directory_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "relay/registry.hpp"
+#include "util/ipv4.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace torsim::sim {
+
+/// One descriptor upload: which directory received it and which entry
+/// guard fronted the upload circuit — the two vantage points of the
+/// original S&P'13 *service* deanonymisation.
+struct PublishRecord {
+  relay::RelayId hsdir = relay::kInvalidRelayId;
+  relay::RelayId guard = relay::kInvalidRelayId;
+};
 
 /// Plain-data snapshot of one hidden service — what the serving layer
 /// (src/serve) reads instead of reaching into hs/crypto types directly
@@ -136,17 +146,144 @@ class World {
   }
 
   // --- hidden services ----------------------------------------------
+  // A hidden service is an index into the World's service columns; the
+  // index is also its key's handle in directories().keys(). Services
+  // are never removed.
+
+  /// One service of a const World: a (world, index) handle whose
+  /// accessors read the service columns. Copy it freely; it keeps
+  /// denoting the same service for the World's lifetime.
+  class ConstServiceRef {
+   public:
+    std::size_t index() const { return index_; }
+
+    const crypto::PermanentId& permanent_id() const {
+      return world_->permanent_ids_[index_];
+    }
+    /// 16-char base32 of the permanent id, rendered per call.
+    std::string onion_address() const {
+      return crypto::onion_address(permanent_id());
+    }
+
+    /// An offline service neither publishes nor refreshes descriptors.
+    bool online() const { return world_->online_[index_] != 0; }
+
+    /// The operator machine's IP address — ground truth, observable
+    /// only by the first hop of the service's own circuits.
+    const util::Ipv4& address() const { return world_->addresses_[index_]; }
+
+    /// Time period of the most recent publication (0 if never).
+    std::uint32_t last_published_period() const {
+      return world_->last_periods_[index_];
+    }
+
+    /// Descriptor ids (replica 0 and 1) at time `now`: the ids of the
+    /// service's current period when `now` falls in it, derived
+    /// otherwise. Never writes the World, so views may call it
+    /// concurrently between publishes.
+    std::vector<crypto::DescriptorId> current_descriptor_ids(
+        util::UnixTime now) const {
+      const auto ids = world_->descriptor_ids_at(index_, now);
+      return {ids.begin(), ids.end()};
+    }
+
+    /// Introduction points of the most recent publication (empty before
+    /// the first).
+    std::span<const crypto::Fingerprint> introduction_points() const {
+      return world_->intro_points_[index_].items();
+    }
+
+    /// Per-HSDir upload circuits of the most recent publication.
+    std::span<const PublishRecord> last_publish_records() const {
+      return world_->publish_records_[index_].items();
+    }
+
+    /// Responsible directories the most recent publication failed to
+    /// reach even after the directory network's bounded upload retries
+    /// (0 without fault injection). The typed records live in
+    /// DirectoryNetwork::failure_log() as kPublishLost.
+    int last_publish_lost() const { return world_->publish_lost_[index_]; }
+
+    /// The service's own entry guards — hidden services build circuits
+    /// through guards exactly like clients do (which is what the
+    /// original S&P'13 deanonymisation attacked). A service without
+    /// guards uploads unprotected.
+    const hs::GuardManager& guards() const {
+      return world_->guards_[index_];
+    }
+
+   protected:
+    friend class World;
+    ConstServiceRef(const World* world, std::size_t index)
+        : world_(world), index_(index) {}
+    const World* world_;
+    std::size_t index_;
+  };
+
+  /// One service of a mutable World: ConstServiceRef plus the setters
+  /// and the publish trigger.
+  class ServiceRef : public ConstServiceRef {
+   public:
+    void set_online(bool online) const { world().online_[index_] = online; }
+    void set_address(util::Ipv4 address) const {
+      world().addresses_[index_] = address;
+    }
+    /// Replaces the descriptor cookie (see add_service); takes effect at
+    /// the next publish (force one to move already published
+    /// descriptors). Pass the cookie to add_service instead to never
+    /// publish under the public ids.
+    void set_descriptor_cookie(std::vector<std::uint8_t> cookie) const {
+      world().set_descriptor_cookie(index_, std::move(cookie));
+    }
+    hs::GuardManager& guards() const { return world().guards_[index_]; }
+    void maintain_guards(const dirauth::Consensus& consensus, util::Rng& rng,
+                         util::UnixTime now) const {
+      guards().maintain(consensus, rng, now);
+    }
+    /// World::publish for this service.
+    std::vector<relay::RelayId> maybe_publish(bool force = false) const {
+      return world().publish(index_, force);
+    }
+
+   private:
+    friend class World;
+    ServiceRef(World* world, std::size_t index)
+        : ConstServiceRef(world, index) {}
+    // Built only from a mutable World, so casting the constness back
+    // off is sound.
+    World& world() const { return const_cast<World&>(*world_); }
+  };
+
   /// Adds a hidden service with a fresh key; returns its index.
   std::size_t add_service();
   /// Adds a hidden service with a caller-supplied key (population module
-  /// pins specific addresses); returns its index.
-  std::size_t add_service(crypto::KeyPair key);
+  /// pins specific addresses) and descriptor cookie, publishes it at
+  /// once, and returns its index. An empty cookie makes a public
+  /// service; a non-empty one an authenticated ("stealth") service,
+  /// whose cookie-mixed descriptor ids only clients holding the cookie
+  /// can derive. Throws std::logic_error when the directory key table
+  /// holds keys that are not World services.
+  std::size_t add_service(crypto::KeyPair key,
+                          std::vector<std::uint8_t> cookie = {});
 
-  hs::ServiceHost& service(std::size_t index) { return *services_[index]; }
-  const hs::ServiceHost& service(std::size_t index) const {
-    return *services_[index];
+  /// Service `index`, which must be below service_count().
+  ServiceRef service(std::size_t index) { return ServiceRef(this, index); }
+  ConstServiceRef service(std::size_t index) const {
+    return ConstServiceRef(this, index);
   }
-  std::size_t service_count() const { return services_.size(); }
+  std::size_t service_count() const { return permanent_ids_.size(); }
+
+  /// Publishes service `index`'s descriptors for the current time
+  /// period if they have not been published yet, if the responsible
+  /// HSDirs changed since the last upload (Tor re-uploads when the ring
+  /// shifts under it — this is what lets a shadow relay that just
+  /// became active collect descriptors mid-period; a relay that
+  /// switched fingerprint counts as a change), or if `force` is set.
+  /// Draws three introduction points among Fast relays of the
+  /// consensus, then one guard pick per receiving directory. Returns
+  /// the relay ids that received copies (empty if nothing was
+  /// published, and always for an offline service).
+  std::vector<relay::RelayId> publish(std::size_t index, bool force = false);
 
   // --- read-only query surface (src/serve) --------------------------
   // Const, allocation-only views over current world state. They touch
@@ -226,7 +363,45 @@ class World {
   /// network stays stable if the World is moved.
   std::unique_ptr<fault::FaultInjector> injector_;
   hsdir::DirectoryNetwork dirnet_;
-  std::vector<std::unique_ptr<hs::ServiceHost>> services_;
+
+  /// Up to N values inline, for the per-service columns below.
+  template <typename T, std::size_t N>
+  struct InlineList {
+    std::array<T, N> values{};
+    std::uint8_t count = 0;
+    std::span<const T> items() const { return {values.data(), count}; }
+    void push_back(const T& value) { values[count++] = value; }
+  };
+  static constexpr std::size_t kMaxResponsible =
+      crypto::kNumReplicas * crypto::kHsDirsPerReplica;
+  using DescriptorIds = std::array<crypto::DescriptorId, crypto::kNumReplicas>;
+
+  /// The service's descriptor ids at `now`: its period's ids when `now`
+  /// falls in that period, derived otherwise.
+  DescriptorIds descriptor_ids_at(std::size_t index, util::UnixTime now) const;
+  void set_descriptor_cookie(std::size_t index,
+                             std::vector<std::uint8_t> cookie);
+
+  // Service columns, indexed by service index.
+  std::vector<crypto::PermanentId> permanent_ids_;
+  std::vector<std::vector<std::uint8_t>> cookies_;
+  std::vector<std::uint8_t> online_;
+  std::vector<std::uint32_t> last_periods_;  ///< 0 until the first publish
+  std::vector<std::uint8_t> published_once_;
+  /// Fingerprints of the directories the last publish went to, replica
+  /// by replica.
+  std::vector<InlineList<crypto::Fingerprint, kMaxResponsible>>
+      last_responsible_;
+  /// The descriptor ids of ids_periods_[i] under the current cookie.
+  std::vector<std::uint32_t> ids_periods_;
+  std::vector<DescriptorIds> ids_;
+  std::vector<InlineList<crypto::Fingerprint, hsdir::kMaxIntroPoints>>
+      intro_points_;
+  std::vector<InlineList<PublishRecord, kMaxResponsible>> publish_records_;
+  std::vector<int> publish_lost_;
+  std::vector<util::Ipv4> addresses_;
+  std::vector<hs::GuardManager> guards_;
+
   std::vector<bool> churn_exempt_;
   bool authority_online_ = true;
   std::function<void(World&)> post_consensus_hook_;

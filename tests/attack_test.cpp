@@ -320,7 +320,7 @@ TEST(ServiceDeanonTest, RecoversOperatorAddress) {
   wc.honest_relays = 200;
   sim::World world(wc);
   const auto target_index = world.add_service();
-  hs::ServiceHost& target = world.service(target_index);
+  const auto target = world.service(target_index);
   target.set_address(util::Ipv4(203, 0, 113, 99));
 
   DeanonymizerConfig config;
@@ -337,8 +337,7 @@ TEST(ServiceDeanonTest, RecoversOperatorAddress) {
     world.run_hours(24);
     attacker.position_hsdirs(world, target);
     target.maintain_guards(world.consensus(), world.rng(), world.now());
-    target.maybe_publish(world.consensus(), world.directories(), world.rng(),
-                         world.now(), /*force=*/true);
+    target.maybe_publish(/*force=*/true);
     for (const auto& record : target.last_publish_records()) {
       if (attacker.observe_publish(record, target.address(), trace_rng))
         ++deanon_days;
@@ -362,14 +361,13 @@ TEST(ServiceDeanonTest, GuardlessServiceNotDeanonymised) {
   wc.honest_relays = 150;
   sim::World world(wc);
   const auto target_index = world.add_service();
-  hs::ServiceHost& target = world.service(target_index);
+  const auto target = world.service(target_index);
 
   ClientDeanonymizer attacker;
   attacker.deploy_guards(world);
   attacker.position_hsdirs(world, target);
   world.step_hour();
-  target.maybe_publish(world.consensus(), world.directories(), world.rng(),
-                       world.now(), true);
+  target.maybe_publish(true);
 
   util::Rng trace_rng(33);
   for (const auto& record : target.last_publish_records()) {
@@ -386,10 +384,9 @@ TEST(ServiceDeanonTest, PublishRecordsMatchReceivers) {
   wc.honest_relays = 150;
   sim::World world(wc);
   const auto index = world.add_service();
-  hs::ServiceHost& host = world.service(index);
+  const auto host = world.service(index);
   host.maintain_guards(world.consensus(), world.rng(), world.now());
-  const auto receivers = host.maybe_publish(
-      world.consensus(), world.directories(), world.rng(), world.now(), true);
+  const auto receivers = host.maybe_publish(true);
   ASSERT_EQ(host.last_publish_records().size(), receivers.size());
   for (std::size_t i = 0; i < receivers.size(); ++i) {
     EXPECT_EQ(host.last_publish_records()[i].hsdir, receivers[i]);

@@ -181,9 +181,11 @@ TEST(ChaosRendezvousTest, StormOfConnectionsAllTypedAndReproducible) {
     std::vector<int> outcomes;
     for (int round = 0; round < 5; ++round) {
       for (auto& client : clients) {
+        const auto service = world.service(target);
         const auto outcome = hs::rendezvous_connect(
-            client, world.service(target), world.consensus(),
-            world.directories(), world.rng(), world.now());
+            client, service.onion_address(), service.guards(),
+            world.consensus(), world.directories(), world.rng(),
+            world.now());
         // Invariant: success XOR a typed failure — never a silent drop.
         EXPECT_NE(outcome.success,
                   outcome.failure != hs::RendezvousFailure::kNone);

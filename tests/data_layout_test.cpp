@@ -1,5 +1,4 @@
 // Pins the data-oriented layout contracts (docs/data-layout.md): the
-// key table's string interner (determinism and view stability), the
 // Population facade's exact column reserves, handle (not reference)
 // identity and peak-RSS budget, and the Fig. 1 port labels next to the
 // scan CSV.
@@ -21,7 +20,6 @@
 #include "population/population.hpp"
 #include "scan/port_scanner.hpp"
 #include "util/csv.hpp"
-#include "util/interner.hpp"
 #include "util/rng.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -36,96 +34,6 @@ namespace torsim {
 namespace {
 
 constexpr util::UnixTime kT0 = 1360800000;  // 2013-02-14
-
-// ---------------------------------------------------------------------
-// util::StringInterner (hsdir::KeyTable's storage)
-// ---------------------------------------------------------------------
-
-TEST(StringInternerTest, IdsAreDenseAndInsertionOrdered) {
-  util::StringInterner interner;
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    const std::string text = "svc-" + std::to_string(i);
-    EXPECT_EQ(interner.intern(text), i);
-  }
-  EXPECT_EQ(interner.size(), 100u);
-  // Re-interning never mints a new id.
-  EXPECT_EQ(interner.intern("svc-42"), 42u);
-  EXPECT_EQ(interner.size(), 100u);
-}
-
-TEST(StringInternerTest, RoundTripProperty) {
-  util::StringInterner interner;
-  util::Rng rng(991);
-  std::vector<std::string> texts;
-  std::set<std::string> seen;
-  // Varied lengths: SSO-sized, heap-sized, and block-spanning.
-  for (int i = 0; i < 2000; ++i) {
-    std::string text;
-    const std::size_t len = 1 + rng.index(120);
-    for (std::size_t j = 0; j < len; ++j)
-      text.push_back(static_cast<char>('a' + rng.index(26)));
-    if (!seen.insert(text).second) continue;
-    texts.push_back(text);
-  }
-  std::vector<util::StringInterner::Id> ids;
-  ids.reserve(texts.size());
-  for (const std::string& text : texts) ids.push_back(interner.intern(text));
-  ASSERT_EQ(interner.size(), texts.size());
-  for (std::size_t i = 0; i < texts.size(); ++i) {
-    EXPECT_EQ(interner.view(ids[i]), texts[i]);
-    EXPECT_EQ(interner.intern(texts[i]), ids[i]);
-  }
-}
-
-TEST(StringInternerTest, EmptyStringInternsToEmptyView) {
-  util::StringInterner interner;
-  const auto empty = interner.intern("");
-  EXPECT_TRUE(interner.view(empty).empty());
-  EXPECT_EQ(interner.intern(std::string_view{}), empty);  // null data()
-  const auto word = interner.intern("word");
-  EXPECT_NE(word, empty);
-  EXPECT_EQ(interner.view(word), "word");
-  EXPECT_EQ(interner.size(), 2u);
-}
-
-TEST(StringInternerTest, OversizedStringGetsOwnBlock) {
-  util::StringInterner interner;
-  const std::string big(100 * 1024, 'x');  // past the 64 KiB block size
-  const auto id = interner.intern(big);
-  EXPECT_EQ(interner.view(id), big);
-  // Neighbours before and after stay intact.
-  const auto before = interner.intern("small-before");
-  const std::string big2(70 * 1024, 'y');
-  const auto mid = interner.intern(big2);
-  const auto after = interner.intern("small-after");
-  EXPECT_EQ(interner.view(before), "small-before");
-  EXPECT_EQ(interner.view(mid), big2);
-  EXPECT_EQ(interner.view(after), "small-after");
-}
-
-TEST(StringInternerTest, ViewsAndIdsStableUnderRehashAndGrowth) {
-  util::StringInterner interner;
-  std::vector<std::string_view> early_views;
-  std::vector<util::StringInterner::Id> early_ids;
-  for (int i = 0; i < 16; ++i) {
-    const std::string text = "stable-" + std::to_string(i);
-    const auto id = interner.intern(text);
-    early_ids.push_back(id);
-    early_views.push_back(interner.view(id));
-  }
-  const char* first_data = early_views[0].data();
-  // Force many index rehashes and fresh storage blocks.
-  for (int i = 0; i < 50000; ++i)
-    interner.intern("churn-" + std::to_string(i));
-  for (int i = 0; i < 16; ++i) {
-    const std::string text = "stable-" + std::to_string(i);
-    // Same id on re-intern, same view content, same storage address:
-    // nothing moved underneath the holders.
-    EXPECT_EQ(interner.intern(text), early_ids[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(interner.view(early_ids[static_cast<std::size_t>(i)]), text);
-  }
-  EXPECT_EQ(early_views[0].data(), first_data);
-}
 
 // ---------------------------------------------------------------------
 // Population facade (satellite: builder reserves + handle identity)
@@ -212,13 +120,15 @@ TEST(PopulationLayoutTest, PeakRssUnderBudgetAtScale005) {
       std::min<std::size_t>(pop.size(), 2000));
   hsdir::KeyTable keys;
   hsdir::DescriptorStore store(keys);
-  // One publish and two refreshes of the same ids: the refreshes
-  // overwrite records in place and intern no new key.
+  // Each key is added once and named by its handle; one publish and two
+  // refreshes of the same ids overwrite records in place.
+  for (population::ServiceId id = 0; id < count; ++id)
+    keys.add(pop.service(id).key().public_bytes());
   for (int round = 0; round < 3; ++round) {
     for (population::ServiceId id = 0; id < count; ++id) {
       auto d = hsdir::make_descriptor(pop.service(id).key(), intros, 0, kT0);
       d.published += round * util::kSecondsPerHour;
-      store.store(d);
+      store.store(d, id);
     }
   }
   EXPECT_EQ(store.size(), count);

@@ -15,7 +15,6 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "hs/client.hpp"
-#include "hs/service_host.hpp"
 #include "hsdir/directory_network.hpp"
 #include "population/population.hpp"
 #include "relay/registry.hpp"
@@ -263,7 +262,7 @@ TEST(FaultStoreTest, VisibleAfterGatesFetch) {
   const auto key = crypto::KeyPair::generate(rng);
   auto d = hsdir::make_descriptor(key, {}, 0, kT0);
   d.visible_after = kT0 + 7200;
-  store.store(d);
+  store.store(d, keys.add(key.public_bytes()));
   EXPECT_FALSE(store.fetch(d.descriptor_id, kT0 + 7199).has_value());
   EXPECT_TRUE(store.fetch(d.descriptor_id, kT0 + 7200).has_value());
 }
@@ -272,31 +271,14 @@ TEST(FaultStoreTest, VisibleAfterGatesFetch) {
 // DirectoryNetwork + Client under faults
 // ---------------------------------------------------------------------
 
-struct FaultNet {
-  relay::Registry registry;
-  dirauth::Authority authority;
-  dirauth::Consensus consensus;
-  hsdir::DirectoryNetwork dirnet;
-  fault::FaultInjector injector;
-  util::Rng rng{20130204};
-
-  explicit FaultNet(const fault::FaultPlan& plan, int relays = 30)
-      : injector(plan) {
-    for (int i = 0; i < relays; ++i) {
-      relay::RelayConfig rc;
-      rc.nickname = "n" + std::to_string(i);
-      rc.address = util::Ipv4::random_public(rng);
-      rc.bandwidth_kbps = 100.0;
-      const auto id =
-          registry.create(rc, rng, kT0 - 30 * util::kSecondsPerHour);
-      registry.get(id).set_online(true, kT0 - 30 * util::kSecondsPerHour);
-    }
-    consensus = authority.build_consensus(registry, kT0);
-    dirnet.set_fault_injector(&injector);
-  }
-
-  hs::ServiceHost make_service() { return hs::ServiceHost::create(rng, kT0); }
-};
+/// A World of 30 honest relays at kT0 whose directories run `plan`.
+sim::WorldConfig fault_world(const fault::FaultPlan& plan) {
+  sim::WorldConfig wc;
+  wc.seed = 20130204;
+  wc.honest_relays = 30;
+  wc.faults = plan;
+  return wc;
+}
 
 TEST(DirectoryFaultTest, PublishLossIsTypedAndDeterministic) {
   fault::FaultPlan plan;
@@ -304,12 +286,11 @@ TEST(DirectoryFaultTest, PublishLossIsTypedAndDeterministic) {
   plan.retry.max_attempts = 2;
 
   const auto run = [&](fault::FailureLog* log) {
-    FaultNet net(plan);
-    auto service = net.make_service();
-    const auto receivers =
-        service.maybe_publish(net.consensus, net.dirnet, net.rng, kT0);
-    if (log != nullptr) *log = net.dirnet.failure_log();
-    return std::pair<std::size_t, int>(receivers.size(),
+    sim::World world(fault_world(plan));
+    const auto service = world.service(world.add_service());
+    if (log != nullptr) *log = world.directories().failure_log();
+    // One publish record per receiving directory.
+    return std::pair<std::size_t, int>(service.last_publish_records().size(),
                                        service.last_publish_lost());
   };
   fault::FailureLog log1, log2;
@@ -331,16 +312,14 @@ TEST(DirectoryFaultTest, PublishLossIsTypedAndDeterministic) {
 TEST(DirectoryFaultTest, EveryResponsibleDirAccountedFor) {
   fault::FaultPlan plan;
   plan.publish_loss_rate = 0.5;
-  FaultNet net(plan);
-  auto service = net.make_service();
-  const auto receivers =
-      service.maybe_publish(net.consensus, net.dirnet, net.rng, kT0);
+  sim::World world(fault_world(plan));
+  const auto service = world.service(world.add_service());
   // receivers + typed losses == the deduplicated responsible set:
   // nothing disappears silently.
-  EXPECT_GT(receivers.size(), 0u);
+  EXPECT_GT(service.last_publish_records().size(), 0u);
   EXPECT_GE(service.last_publish_lost(), 0);
   int lost_records = 0;
-  for (const auto& record : net.dirnet.failure_log())
+  for (const auto& record : world.directories().failure_log())
     lost_records += record.kind == fault::FailureKind::kPublishLost;
   EXPECT_EQ(lost_records, service.last_publish_lost());
 }
@@ -349,26 +328,25 @@ TEST(DirectoryFaultTest, DelayedPublishBecomesVisibleLater) {
   fault::FaultPlan plan;
   plan.publish_delay_rate = 1.0;
   plan.publish_delay = 7200;
-  FaultNet net(plan);
-  auto service = net.make_service();
-  const auto receivers =
-      service.maybe_publish(net.consensus, net.dirnet, net.rng, kT0);
-  ASSERT_GT(receivers.size(), 0u);
+  sim::World world(fault_world(plan));
+  const auto service = world.service(world.add_service());
+  ASSERT_GT(service.last_publish_records().size(), 0u);
   const auto ids = service.current_descriptor_ids(kT0);
 
+  hsdir::DirectoryNetwork& dirnet = world.directories();
   relay::RelayId hsdir = relay::kInvalidRelayId;
   bool visible_now = false;
   bool visible_later = false;
   for (const auto& id : ids) {
     visible_now |=
-        net.dirnet.fetch_from(net.consensus, id, kT0 + 1, hsdir).has_value();
-    visible_later |= net.dirnet.fetch_from(net.consensus, id, kT0 + 7201,
-                                           hsdir).has_value();
+        dirnet.fetch_from(world.consensus(), id, kT0 + 1, hsdir).has_value();
+    visible_later |= dirnet.fetch_from(world.consensus(), id, kT0 + 7201,
+                                       hsdir).has_value();
   }
   EXPECT_FALSE(visible_now);
   EXPECT_TRUE(visible_later);
   bool saw_delayed = false;
-  for (const auto& record : net.dirnet.failure_log())
+  for (const auto& record : dirnet.failure_log())
     saw_delayed |= record.kind == fault::FailureKind::kPublishDelayed;
   EXPECT_TRUE(saw_delayed);
 }
@@ -377,22 +355,22 @@ TEST(DirectoryFaultTest, TotalOutageYieldsTypedClientFailure) {
   fault::FaultPlan plan;
   plan.hsdir_flaky_fraction = 1.0;
   plan.hsdir_outage_rate = 1.0;
-  FaultNet net(plan);
-  auto service = net.make_service();
-  (void)service.maybe_publish(net.consensus, net.dirnet, net.rng, kT0);
-  net.dirnet.clear_failure_log();
+  sim::World world(fault_world(plan));
+  const auto service = world.service(world.add_service());
+  hsdir::DirectoryNetwork& dirnet = world.directories();
+  dirnet.clear_failure_log();
 
-  hs::Client client(util::Ipv4::random_public(net.rng), 99);
-  client.maintain(net.consensus, kT0);
+  hs::Client client(util::Ipv4::random_public(world.rng()), 99);
+  client.maintain(world.consensus(), kT0);
   const auto outcome = client.fetch_descriptor(
-      service.onion_address(), net.consensus, net.dirnet, kT0);
+      service.onion_address(), world.consensus(), dirnet, kT0);
   EXPECT_FALSE(outcome.found);
   EXPECT_EQ(outcome.failure, hs::FetchFailure::kDirsUnresponsive);
   EXPECT_EQ(outcome.attempts, plan.retry.max_attempts);
   EXPECT_EQ(outcome.backoff_spent,
             plan.retry.total_backoff(plan.retry.max_attempts));
   bool saw_unresponsive = false;
-  for (const auto& record : net.dirnet.failure_log())
+  for (const auto& record : dirnet.failure_log())
     saw_unresponsive |=
         record.kind == fault::FailureKind::kHsdirUnresponsive;
   EXPECT_TRUE(saw_unresponsive);
@@ -401,12 +379,12 @@ TEST(DirectoryFaultTest, TotalOutageYieldsTypedClientFailure) {
 TEST(DirectoryFaultTest, MissingDescriptorIsDefinitiveNotRetried) {
   fault::FaultPlan plan;
   plan.connect_drop_rate = 0.1;  // enabled, but directories are healthy
-  FaultNet net(plan);
-  hs::Client client(util::Ipv4::random_public(net.rng), 99);
-  client.maintain(net.consensus, kT0);
+  sim::World world(fault_world(plan));
+  hs::Client client(util::Ipv4::random_public(world.rng()), 99);
+  client.maintain(world.consensus(), kT0);
   crypto::DescriptorId missing{};
-  const auto outcome =
-      client.fetch_descriptor_id(missing, net.consensus, net.dirnet, kT0);
+  const auto outcome = client.fetch_descriptor_id(
+      missing, world.consensus(), world.directories(), kT0);
   EXPECT_FALSE(outcome.found);
   EXPECT_EQ(outcome.failure, hs::FetchFailure::kNotFound);
   EXPECT_EQ(outcome.attempts, 1);  // a definitive miss is not retried
@@ -416,15 +394,17 @@ TEST(DirectoryFaultTest, MissingDescriptorIsDefinitiveNotRetried) {
 TEST(DirectoryFaultTest, NoInjectorMatchesDisabledInjector) {
   // A wired-but-disabled injector must not perturb anything.
   const auto run = [&](bool wire_disabled) {
-    FaultNet net(fault::FaultPlan{});
-    if (!wire_disabled) net.dirnet.set_fault_injector(nullptr);
-    auto service = net.make_service();
-    auto receivers =
-        service.maybe_publish(net.consensus, net.dirnet, net.rng, kT0);
-    hs::Client client(util::Ipv4::random_public(net.rng), 99);
-    client.maintain(net.consensus, kT0);
+    fault::FaultInjector disabled{fault::FaultPlan{}};
+    sim::World world(fault_world(fault::FaultPlan{}));
+    if (wire_disabled) world.directories().set_fault_injector(&disabled);
+    const auto service = world.service(world.add_service());
+    std::vector<relay::RelayId> receivers;
+    for (const auto& record : service.last_publish_records())
+      receivers.push_back(record.hsdir);
+    hs::Client client(util::Ipv4::random_public(world.rng()), 99);
+    client.maintain(world.consensus(), kT0);
     const auto outcome = client.fetch_descriptor(
-        service.onion_address(), net.consensus, net.dirnet, kT0);
+        service.onion_address(), world.consensus(), world.directories(), kT0);
     return std::tuple<std::vector<relay::RelayId>, bool, int>(
         receivers, outcome.found, outcome.attempts);
   };

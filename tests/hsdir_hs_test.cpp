@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -10,9 +10,9 @@
 #include "dirauth/authority.hpp"
 #include "hs/client.hpp"
 #include "hs/guard_manager.hpp"
-#include "hs/service_host.hpp"
 #include "hsdir/directory_network.hpp"
 #include "relay/registry.hpp"
+#include "sim/world.hpp"
 
 namespace torsim {
 namespace {
@@ -41,6 +41,28 @@ struct MiniNet {
     consensus = authority.build_consensus(registry, kT0);
   }
 };
+
+/// A World of `relays` honest relays starting at kT0 on a still ring:
+/// no churn, and every relay bootstrapped with the uptime the HSDir
+/// flag needs, so the ring changes only when a test changes it.
+sim::WorldConfig still_world(int relays = 30) {
+  sim::WorldConfig config;
+  config.seed = 20130204;
+  config.honest_relays = relays;
+  config.bootstrap_hsdir_fraction = 1.0;
+  config.hourly_down_probability = 0.0;
+  config.hourly_up_probability = 0.0;
+  return config;
+}
+
+/// Steps `world` until its clock reaches `t`, with service `index`
+/// offline throughout, so the service publishes nothing on the way.
+void step_offline_until(sim::World& world, std::size_t index,
+                        util::UnixTime t) {
+  world.service(index).set_online(false);
+  while (world.now() < t) world.step_hour();
+  world.service(index).set_online(true);
+}
 
 // ---------------------------------------------------------------------
 // Descriptor
@@ -80,7 +102,7 @@ TEST(DescriptorStoreTest, StoreAndFetch) {
   hsdir::DescriptorStore store(keys);
   const auto key = crypto::KeyPair::generate(rng);
   const auto d = hsdir::make_descriptor(key, {}, 0, kT0);
-  store.store(d);
+  store.store(d, keys.add(key.public_bytes()));
   EXPECT_EQ(store.size(), 1u);
   const auto fetched = store.fetch(d.descriptor_id, kT0 + 60);
   ASSERT_TRUE(fetched.has_value());
@@ -95,7 +117,7 @@ TEST(DescriptorStoreTest, ExpiryAfter24Hours) {
   hsdir::DescriptorStore store(keys);
   const auto key = crypto::KeyPair::generate(rng);
   const auto d = hsdir::make_descriptor(key, {}, 0, kT0);
-  store.store(d);
+  store.store(d, keys.add(key.public_bytes()));
   EXPECT_TRUE(store.fetch(d.descriptor_id, kT0 + 24 * 3600).has_value());
   EXPECT_FALSE(store.fetch(d.descriptor_id, kT0 + 24 * 3600 + 1).has_value());
   store.expire(kT0 + 25 * 3600);
@@ -141,8 +163,9 @@ TEST(DescriptorStoreTest, ExpiryKeepsDescriptorRefreshedWithLaterPublish) {
   FullWalkModel model;
   const auto d = hsdir::make_descriptor(crypto::KeyPair::generate(rng), {}, 0,
                                         kT0);
+  const auto key = keys.add(d.service_public_key);
   for (const auto& copy : {d, published_at(d, kT0 + 10 * 3600)}) {
-    store.store(copy);
+    store.store(copy, key);
     model.store(copy);
   }
   // The first publish is past the lifetime, the refresh is not.
@@ -162,7 +185,7 @@ TEST(DescriptorStoreTest, ExpiryBoundaryIsExactlyTheLifetime) {
   FullWalkModel model;
   const auto d = hsdir::make_descriptor(crypto::KeyPair::generate(rng), {}, 0,
                                         kT0);
-  store.store(d);
+  store.store(d, keys.add(d.service_public_key));
   model.store(d);
   const util::UnixTime boundary = kT0 + hsdir::kDescriptorLifetime;
   store.expire(boundary);
@@ -189,7 +212,7 @@ TEST(DescriptorStoreTest, ExpiryAfterStoreEmptiedAndRefilled) {
                                         intros, 1, kT0);
   const auto step = [&](const hsdir::Descriptor* d, util::UnixTime now) {
     if (d != nullptr) {
-      store.store(*d);
+      store.store(*d, keys.add(d->service_public_key));
       model.store(*d);
     }
     store.expire(now);
@@ -216,20 +239,22 @@ TEST(DescriptorStoreTest, ExpiryMatchesFullWalkOnRandomSchedule) {
   hsdir::DescriptorStore store(keys);
   FullWalkModel model;
   std::vector<hsdir::Descriptor> pool;
+  std::vector<hsdir::KeyTable::Handle> pool_keys;
   for (int i = 0; i < 12; ++i) {
     std::vector<crypto::Fingerprint> intros(rng.index(4));
     pool.push_back(hsdir::make_descriptor(crypto::KeyPair::generate(rng),
                                           intros, 0, kT0));
+    pool_keys.push_back(keys.add(pool.back().service_public_key));
   }
   util::UnixTime now = kT0;
   for (int step = 0; step < 400; ++step) {
     now += static_cast<util::Seconds>(rng.index(4 * 3600));
     if (rng.index(3) != 0) {
       // Publish times trail the clock by up to a day, out of order.
+      const std::size_t i = rng.index(pool.size());
       const auto d = published_at(
-          pool[rng.index(pool.size())],
-          now - static_cast<util::Seconds>(rng.index(24 * 3600)));
-      store.store(d);
+          pool[i], now - static_cast<util::Seconds>(rng.index(24 * 3600)));
+      store.store(d, pool_keys[i]);
       model.store(d);
     }
     store.expire(now);
@@ -245,7 +270,7 @@ TEST(DescriptorStoreTest, FetchLogRecordsHitsAndMisses) {
   store.enable_logging(true);
   const auto key = crypto::KeyPair::generate(rng);
   const auto d = hsdir::make_descriptor(key, {}, 0, kT0);
-  store.store(d);
+  store.store(d, keys.add(key.public_bytes()));
   (void)store.fetch(d.descriptor_id, kT0 + 1);
   crypto::DescriptorId missing{};
   (void)store.fetch(missing, kT0 + 2);
@@ -282,7 +307,7 @@ TEST(DescriptorStoreTest, IntroPointsAndKeyRoundTripThroughFetch) {
                                     random_intro_points(rng, count),
                                     static_cast<std::uint8_t>(count % 2), kT0);
     d.visible_after = kT0 + 60;
-    store.store(d);
+    store.store(d, keys.add(d.service_public_key));
     const auto fetched = store.fetch(d.descriptor_id, kT0 + 60);
     ASSERT_TRUE(fetched.has_value());
     EXPECT_EQ(fetched->introduction_points, d.introduction_points);
@@ -303,14 +328,20 @@ TEST(DescriptorStoreTest, MoreThanThreeIntroPointsThrow) {
   const auto key = crypto::KeyPair::generate(rng);
   const auto held = hsdir::make_descriptor(key, random_intro_points(rng, 3), 0,
                                            kT0);
-  store.store(held);
+  const auto handle = keys.add(key.public_bytes());
+  store.store(held, handle);
   auto refresh = held;
   refresh.introduction_points = random_intro_points(rng, 4);
   refresh.published = kT0 + 60;
-  EXPECT_THROW(store.store(refresh), std::invalid_argument);
+  EXPECT_THROW(store.store(refresh, handle), std::invalid_argument);
   EXPECT_THROW(store.store(hsdir::make_descriptor(
-                   key, random_intro_points(rng, 4), 1, kT0)),
+                               key, random_intro_points(rng, 4), 1, kT0),
+                           handle),
                std::invalid_argument);
+  // A handle the key table never issued is refused the same way.
+  auto unknown_key = held;
+  unknown_key.published = kT0 + 60;
+  EXPECT_THROW(store.store(unknown_key, handle + 1), std::out_of_range);
   // Unchanged: the earlier descriptor, nothing new.
   EXPECT_EQ(store.size(), 1u);
   const auto fetched = store.fetch(held.descriptor_id, kT0 + 60);
@@ -328,8 +359,8 @@ TEST(DescriptorStoreTest, TwoServicesFetchBackTheirOwnKeys) {
   const auto b = hsdir::make_descriptor(crypto::KeyPair::generate(rng), {}, 0,
                                         kT0);
   ASSERT_NE(a.service_public_key, b.service_public_key);
-  store.store(a);
-  store.store(b);
+  store.store(a, keys.add(a.service_public_key));
+  store.store(b, keys.add(b.service_public_key));
   EXPECT_EQ(keys.size(), 2u);
   for (const auto* d : {&a, &b}) {
     const auto fetched = store.fetch(d->descriptor_id, kT0 + 1);
@@ -357,10 +388,11 @@ TEST(DescriptorStoreTest, RefreshKeepsSizeAndReturnsNewPublished) {
   hsdir::DescriptorStore store(keys);
   const auto d = hsdir::make_descriptor(crypto::KeyPair::generate(rng),
                                         random_intro_points(rng, 2), 0, kT0);
-  store.store(d);
+  const auto key = keys.add(d.service_public_key);
+  store.store(d, key);
   auto refresh = published_at(d, kT0 + 3600);
   refresh.introduction_points = random_intro_points(rng, 3);
-  store.store(refresh);
+  store.store(refresh, key);
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(keys.size(), 1u);
   const auto fetched = store.fetch(d.descriptor_id, kT0 + 3600);
@@ -370,15 +402,13 @@ TEST(DescriptorStoreTest, RefreshKeepsSizeAndReturnsNewPublished) {
 }
 
 // ---------------------------------------------------------------------
-// DirectoryNetwork + ServiceHost
+// DirectoryNetwork + World services
 // ---------------------------------------------------------------------
 
 TEST(DirectoryNetworkTest, PublishPlacesAtResponsibleHsdirs) {
-  MiniNet net;
-  util::Rng rng(27);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  const auto receivers =
-      host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  sim::World world(still_world());
+  const auto host = world.service(world.add_service());
+  const auto receivers = host.maybe_publish(/*force=*/true);
   // 2 replicas x 3 HSDirs, possibly overlapping.
   EXPECT_GE(receivers.size(), 3u);
   EXPECT_LE(receivers.size(), 6u);
@@ -387,10 +417,43 @@ TEST(DirectoryNetworkTest, PublishPlacesAtResponsibleHsdirs) {
   for (const auto relay_id : receivers) {
     bool responsible = false;
     for (const auto& id : ids)
-      for (const auto* e : net.consensus.responsible_hsdirs(id))
+      for (const auto* e : world.consensus().responsible_hsdirs(id))
         responsible |= e->relay == relay_id;
     EXPECT_TRUE(responsible);
   }
+}
+
+TEST(DirectoryNetworkTest, PublishRejectsUnknownKeyHandle) {
+  MiniNet net;
+  util::Rng rng(44);
+  const auto key = crypto::KeyPair::generate(rng);
+  std::array<hsdir::Descriptor, crypto::kNumReplicas> descriptors;
+  std::array<dirauth::ResponsibleSet, crypto::kNumReplicas> responsible;
+  std::size_t copies = 0;
+  for (std::size_t r = 0; r < descriptors.size(); ++r) {
+    descriptors[r] =
+        hsdir::make_descriptor(key, {}, static_cast<std::uint8_t>(r), kT0);
+    responsible[r].count =
+        static_cast<std::uint8_t>(net.consensus.responsible_hsdirs_into(
+            descriptors[r].descriptor_id, responsible[r].dirs.data(),
+            responsible[r].dirs.size()));
+    copies += responsible[r].count;
+  }
+  ASSERT_GT(copies, 0u);
+
+  // Nothing added yet, then one past the only handle: both refused
+  // before any directory is touched.
+  EXPECT_THROW(net.dirnet.publish(0, descriptors, responsible),
+               std::out_of_range);
+  const auto handle = net.dirnet.add_key(key.public_bytes());
+  EXPECT_THROW(net.dirnet.publish(handle + 1, descriptors, responsible),
+               std::out_of_range);
+  EXPECT_EQ(net.dirnet.descriptors_stored(), 0u);
+  EXPECT_TRUE(net.dirnet.failure_log().empty());
+
+  EXPECT_FALSE(net.dirnet.publish(handle, descriptors, responsible).empty());
+  EXPECT_EQ(net.dirnet.descriptors_stored(), copies);
+  EXPECT_EQ(net.dirnet.keys().size(), 1u);
 }
 
 TEST(DirectoryNetworkTest, FetchCountsRequestsAndProbesSeparately) {
@@ -399,37 +462,34 @@ TEST(DirectoryNetworkTest, FetchCountsRequestsAndProbesSeparately) {
   // into. A published id hits the first responsible dir (1 probe); a
   // missing id walks the whole responsible set (kHsDirsPerReplica
   // probes) before giving up.
-  MiniNet net;
   obs::MetricsRegistry metrics;
-  hsdir::DirectoryNetworkConfig config;
+  sim::WorldConfig config = still_world();
   config.metrics = &metrics;
-  hsdir::DirectoryNetwork dirnet(config);
+  sim::World world(config);
+  hsdir::DirectoryNetwork& dirnet = world.directories();
 
-  util::Rng rng(32);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  host.maybe_publish(net.consensus, dirnet, rng, kT0);
+  const auto host = world.service(world.add_service());
 
   const auto id = host.current_descriptor_ids(kT0).front();
   relay::RelayId hsdir;
-  ASSERT_TRUE(dirnet.fetch_from(net.consensus, id, kT0 + 10, hsdir));
+  ASSERT_TRUE(dirnet.fetch_from(world.consensus(), id, kT0 + 10, hsdir));
   EXPECT_EQ(metrics.counter("hsdir.fetch_attempts").value(), 1);
   EXPECT_EQ(metrics.counter("hsdir.fetch_probes").value(), 1);
 
   crypto::DescriptorId missing{};
-  EXPECT_FALSE(dirnet.fetch_from(net.consensus, missing, kT0 + 10, hsdir));
+  EXPECT_FALSE(dirnet.fetch_from(world.consensus(), missing, kT0 + 10, hsdir));
   EXPECT_EQ(metrics.counter("hsdir.fetch_attempts").value(), 2);
   EXPECT_EQ(metrics.counter("hsdir.fetch_probes").value(),
             1 + crypto::kHsDirsPerReplica);
 }
 
 TEST(DirectoryNetworkTest, FetchFindsPublishedDescriptor) {
-  MiniNet net;
-  util::Rng rng(28);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  sim::World world(still_world());
+  const auto host = world.service(world.add_service());
   for (const auto& id : host.current_descriptor_ids(kT0)) {
     relay::RelayId hsdir;
-    const auto d = net.dirnet.fetch_from(net.consensus, id, kT0 + 10, hsdir);
+    const auto d =
+        world.directories().fetch_from(world.consensus(), id, kT0 + 10, hsdir);
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->onion_address(), host.onion_address());
     EXPECT_NE(hsdir, relay::kInvalidRelayId);
@@ -437,105 +497,98 @@ TEST(DirectoryNetworkTest, FetchFindsPublishedDescriptor) {
 }
 
 TEST(ServiceHostTest, NoRepublishWithinPeriodWhenRingStable) {
-  MiniNet net;
-  util::Rng rng(29);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  EXPECT_FALSE(host.maybe_publish(net.consensus, net.dirnet, rng, kT0).empty());
-  EXPECT_TRUE(host.maybe_publish(net.consensus, net.dirnet, rng, kT0 + 60)
-                  .empty());  // same period, same ring
-  EXPECT_FALSE(
-      host.maybe_publish(net.consensus, net.dirnet, rng, kT0 + 60, true)
-          .empty());  // forced
+  sim::World world(still_world());
+  const auto host = world.service(world.add_service());
+  // add_service published at once.
+  EXPECT_FALSE(host.last_publish_records().empty());
+  EXPECT_TRUE(host.maybe_publish().empty());  // same period, same ring
+  EXPECT_FALSE(host.maybe_publish(/*force=*/true).empty());
 }
 
 TEST(ServiceHostTest, RepublishesWhenPeriodRolls) {
-  MiniNet net;
-  util::Rng rng(30);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  sim::World world(still_world());
+  const auto index = world.add_service();
+  const auto host = world.service(index);
   const auto rotation =
       crypto::seconds_until_rotation(kT0, host.permanent_id());
-  EXPECT_FALSE(host.maybe_publish(net.consensus, net.dirnet, rng,
-                                  kT0 + rotation)
-                   .empty());
+  step_offline_until(world, index, kT0 + rotation);
+  EXPECT_FALSE(host.maybe_publish().empty());
   EXPECT_EQ(host.last_published_period(),
             crypto::time_period(kT0 + rotation, host.permanent_id()));
 }
 
 TEST(ServiceHostTest, RepublishesWhenResponsibleSetChanges) {
-  MiniNet net;
+  sim::World world(still_world());
   util::Rng rng(31);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  const auto host = world.service(world.add_service());
 
-  // A new relay lands exactly after the descriptor id: responsible set
-  // changes mid-period -> service must re-upload.
+  // A new relay lands right after the descriptor id, ahead of the first
+  // responsible directory: responsible set changes mid-period -> service
+  // must re-upload.
   const auto ids = host.current_descriptor_ids(kT0);
+  const auto first = world.consensus().responsible_hsdirs(ids[0]);
+  ASSERT_FALSE(first.empty());
+  const double gap = crypto::ring_distance(ids[0], first.front()->fingerprint);
   crypto::KeyPair positioned = crypto::KeyPair::generate(rng);
-  for (int tries = 0; tries < 200000; ++tries) {
-    const double d = crypto::ring_distance(ids[0], positioned.fingerprint());
-    if (d < std::ldexp(1.0, 160) / 1e6) break;
+  while (crypto::ring_distance(ids[0], positioned.fingerprint()) >= gap)
     positioned = crypto::KeyPair::generate(rng);
-  }
   relay::RelayConfig rc;
   rc.nickname = "interloper";
   rc.address = util::Ipv4(6, 6, 6, 6);
-  const auto id = net.registry.create_with_key(
+  const auto id = world.registry().create_with_key(
       rc, std::move(positioned), kT0 - 30 * util::kSecondsPerHour);
-  net.registry.get(id).set_online(true, kT0 - 30 * util::kSecondsPerHour);
-  net.consensus = net.authority.build_consensus(net.registry, kT0 + 3600);
+  world.registry().get(id).set_online(true, kT0 - 30 * util::kSecondsPerHour);
+  world.rebuild_consensus();
 
-  const auto receivers =
-      host.maybe_publish(net.consensus, net.dirnet, rng, kT0 + 3600);
+  const auto receivers = host.maybe_publish();
   EXPECT_FALSE(receivers.empty());
 }
 
 TEST(ServiceHostTest, OfflineServiceDoesNotPublish) {
-  MiniNet net;
-  util::Rng rng(32);
-  auto host = hs::ServiceHost::create(rng, kT0);
+  sim::World world(still_world());
+  const auto host = world.service(world.add_service());
   host.set_online(false);
-  EXPECT_TRUE(host.maybe_publish(net.consensus, net.dirnet, rng, kT0).empty());
+  EXPECT_TRUE(host.maybe_publish(/*force=*/true).empty());
 }
 
 TEST(ServiceHostTest, CachedDescriptorIdsFollowPeriodRollover) {
-  MiniNet net;
-  util::Rng rng(37);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  const auto& pid = host.permanent_id();
+  sim::World world(still_world());
+  const auto index = world.add_service();
+  const auto host = world.service(index);
+  const crypto::PermanentId pid = host.permanent_id();
   const auto derived = [&](util::UnixTime t) {
     const auto ids =
         crypto::descriptor_ids_for_period(pid, crypto::time_period(t, pid));
     return std::vector<crypto::DescriptorId>(ids.begin(), ids.end());
   };
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
   EXPECT_EQ(host.current_descriptor_ids(kT0), derived(kT0));
 
   // Next period, before and after the publish that moves the cache.
   const util::UnixTime next = kT0 + crypto::seconds_until_rotation(kT0, pid);
   ASSERT_NE(crypto::time_period(next, pid), crypto::time_period(kT0, pid));
   EXPECT_EQ(host.current_descriptor_ids(next), derived(next));
-  ASSERT_FALSE(host.maybe_publish(net.consensus, net.dirnet, rng, next)
-                   .empty());
+  step_offline_until(world, index, next);
+  ASSERT_EQ(crypto::time_period(world.now(), pid),
+            crypto::time_period(next, pid));
+  ASSERT_FALSE(host.maybe_publish().empty());
   EXPECT_EQ(host.current_descriptor_ids(next), derived(next));
   EXPECT_EQ(host.current_descriptor_ids(kT0), derived(kT0));
 
   // The descriptors went out under the new period's ids.
   for (const auto& id : derived(next)) {
     relay::RelayId hsdir;
-    const auto d = net.dirnet.fetch_from(net.consensus, id, next + 1, hsdir);
+    const auto d = world.directories().fetch_from(world.consensus(), id,
+                                                  world.now() + 1, hsdir);
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->time_period, crypto::time_period(next, pid));
   }
 }
 
 TEST(ServiceHostTest, CookieSetAfterPublishReplacesCachedIds) {
-  MiniNet net;
-  util::Rng rng(38);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  const auto& pid = host.permanent_id();
+  sim::World world(still_world());
+  const auto host = world.service(world.add_service());
+  const crypto::PermanentId pid = host.permanent_id();
   const std::uint32_t period = crypto::time_period(kT0, pid);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
 
   const std::vector<std::uint8_t> cookie = {4, 8, 15, 16, 23, 42};
   host.set_descriptor_cookie(cookie);
@@ -547,17 +600,95 @@ TEST(ServiceHostTest, CookieSetAfterPublishReplacesCachedIds) {
   EXPECT_NE(host.current_descriptor_ids(kT0).front(),
             crypto::descriptor_ids_for_period(pid, period).front());
 
-  ASSERT_FALSE(
-      host.maybe_publish(net.consensus, net.dirnet, rng, kT0 + 60, true)
-          .empty());
+  ASSERT_FALSE(host.maybe_publish(/*force=*/true).empty());
   EXPECT_EQ(host.current_descriptor_ids(kT0 + 60),
             std::vector<crypto::DescriptorId>(with_cookie.begin(),
                                               with_cookie.end()));
   for (const auto& id : with_cookie) {
     relay::RelayId hsdir;
-    EXPECT_TRUE(
-        net.dirnet.fetch_from(net.consensus, id, kT0 + 61, hsdir).has_value());
+    EXPECT_TRUE(world.directories()
+                    .fetch_from(world.consensus(), id, kT0 + 61, hsdir)
+                    .has_value());
   }
+}
+
+TEST(WorldServiceTest, RepublishesOnFingerprintSwitchAtSameRelayId) {
+  // The first directory responsible for replica 0 switches to a key
+  // whose fingerprint lands between the descriptor id and its old
+  // fingerprint. Every responsible set keeps the same relay ids in the
+  // same order, yet the service must re-upload within the hour: the
+  // directory now answers under a new identity.
+  sim::World world(still_world());
+  const auto host = world.service(world.add_service());
+  // Start at the hour the service's period rolls, so the hours below
+  // stay in one period.
+  const crypto::PermanentId pid = host.permanent_id();
+  while (crypto::time_period(world.now(), pid) ==
+         crypto::time_period(kT0, pid))
+    world.step_hour();
+  const util::UnixTime published = world.now();
+  const std::uint32_t period = crypto::time_period(published, pid);
+  ASSERT_EQ(host.last_published_period(), period);
+  const crypto::DescriptorId id0 = host.current_descriptor_ids(published)[0];
+  const auto responsible_relays = [&world, &host] {
+    std::vector<relay::RelayId> relays;
+    for (const auto& id : host.current_descriptor_ids(world.now()))
+      for (const auto* e : world.consensus().responsible_hsdirs(id))
+        relays.push_back(e->relay);
+    return relays;
+  };
+  const auto before = responsible_relays();
+  const auto first = world.consensus().responsible_hsdirs(id0);
+  ASSERT_FALSE(first.empty());
+  const relay::RelayId switched = first.front()->relay;
+  const double gap = crypto::ring_distance(id0, first.front()->fingerprint);
+  const auto published_at_switched = [&] {
+    const auto d =
+        world.directories().find_store(switched)->fetch(id0, world.now());
+    return d ? d->published : util::UnixTime{-1};
+  };
+
+  // Control: an hour on the still ring uploads nothing new.
+  world.step_hour();
+  ASSERT_EQ(crypto::time_period(world.now(), pid), period);
+  EXPECT_EQ(published_at_switched(), published);
+
+  util::Rng rng(41);
+  crypto::KeyPair key = crypto::KeyPair::generate(rng);
+  while (crypto::ring_distance(id0, key.fingerprint()) >= gap)
+    key = crypto::KeyPair::generate(rng);
+  const crypto::Fingerprint new_fingerprint = key.fingerprint();
+  world.registry().get(switched).install_identity(std::move(key),
+                                                  world.now());
+  world.step_hour();
+  ASSERT_EQ(crypto::time_period(world.now(), pid), period);
+  ASSERT_EQ(world.consensus().find_relay(switched)->fingerprint,
+            new_fingerprint);
+  ASSERT_EQ(responsible_relays(), before);
+  EXPECT_EQ(published_at_switched(), world.now());
+}
+
+TEST(WorldServiceTest, KeyTableHoldsOneKeyPerServiceAcrossRepublishing) {
+  obs::MetricsRegistry metrics;
+  sim::WorldConfig config;
+  config.seed = 43;
+  config.honest_relays = 60;
+  config.metrics = &metrics;
+  sim::World world(config);
+  for (int i = 0; i < 8; ++i) world.add_service();
+  world.run_hours(30);
+  world.add_service();
+  world.run_hours(2);
+  // More descriptor uploads than the services' first publications.
+  EXPECT_GT(metrics.counter("hsdir.publishes").value(),
+            static_cast<std::int64_t>(crypto::kNumReplicas *
+                                      world.service_count()));
+  const hsdir::KeyTable& keys = world.directories().keys();
+  ASSERT_EQ(keys.size(), world.service_count());
+  for (std::size_t i = 0; i < world.service_count(); ++i)
+    EXPECT_EQ(crypto::onion_address_from_public_key(keys.bytes(
+                  static_cast<hsdir::KeyTable::Handle>(i))),
+              world.service(i).onion_address());
 }
 
 // ---------------------------------------------------------------------
@@ -630,16 +761,14 @@ TEST(GuardManagerTest, PickReturnsMemberOfSet) {
 // ---------------------------------------------------------------------
 
 TEST(ClientTest, FetchSucceedsForPublishedService) {
-  MiniNet net(40, 10 * util::kSecondsPerDay);
-  util::Rng rng(38);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  sim::World world(still_world(40));
+  const auto host = world.service(world.add_service());
 
   hs::Client client(util::Ipv4(100, 1, 2, 3), 999);
-  client.maintain(net.consensus, kT0);
-  const auto outcome = client.fetch_descriptor(host.onion_address(),
-                                               net.consensus, net.dirnet,
-                                               kT0 + 30);
+  client.maintain(world.consensus(), kT0);
+  const auto outcome =
+      client.fetch_descriptor(host.onion_address(), world.consensus(),
+                              world.directories(), kT0 + 30);
   EXPECT_TRUE(outcome.found);
   EXPECT_NE(outcome.guard, relay::kInvalidRelayId);
   EXPECT_NE(outcome.hsdir, relay::kInvalidRelayId);
@@ -661,24 +790,25 @@ TEST(ClientTest, FetchFailsForUnknownOnion) {
 }
 
 TEST(ClientTest, FetchAfterRotationFailsUntilRepublish) {
-  MiniNet net(40, 10 * util::kSecondsPerDay);
-  util::Rng rng(40);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  sim::World world(still_world(40));
+  const auto host = world.service(world.add_service());
   const auto rotation =
       crypto::seconds_until_rotation(kT0, host.permanent_id());
 
   hs::Client client(util::Ipv4(100, 1, 2, 5), 1001);
-  client.maintain(net.consensus, kT0);
+  client.maintain(world.consensus(), kT0);
   // After the period rolls, the *new* descriptor ids are not yet
   // published.
-  const auto outcome = client.fetch_descriptor(
-      host.onion_address(), net.consensus, net.dirnet, kT0 + rotation + 1);
+  const auto outcome =
+      client.fetch_descriptor(host.onion_address(), world.consensus(),
+                              world.directories(), kT0 + rotation + 1);
   EXPECT_FALSE(outcome.found);
-  // Service republients, then the fetch succeeds.
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0 + rotation + 2);
-  const auto retry = client.fetch_descriptor(
-      host.onion_address(), net.consensus, net.dirnet, kT0 + rotation + 3);
+  // The service republishes at the first hour step past the rotation,
+  // then the fetch succeeds.
+  world.run_hours(static_cast<int>(rotation / util::kSecondsPerHour) + 1);
+  const auto retry =
+      client.fetch_descriptor(host.onion_address(), world.consensus(),
+                              world.directories(), world.now() + 1);
   EXPECT_TRUE(retry.found);
 }
 
@@ -689,14 +819,12 @@ namespace torsim {
 namespace {
 
 TEST(ClientTest, FetchCircuitHasMiddleRelay) {
-  MiniNet net(40, 10 * util::kSecondsPerDay);
-  util::Rng rng(60);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  sim::World world(still_world(40));
+  const auto host = world.service(world.add_service());
   hs::Client client(util::Ipv4(100, 1, 2, 6), 1002);
-  client.maintain(net.consensus, kT0);
+  client.maintain(world.consensus(), kT0);
   const auto outcome = client.fetch_descriptor(
-      host.onion_address(), net.consensus, net.dirnet, kT0 + 30);
+      host.onion_address(), world.consensus(), world.directories(), kT0 + 30);
   EXPECT_NE(outcome.middle, relay::kInvalidRelayId);
   EXPECT_NE(outcome.middle, outcome.guard);
 }
@@ -728,35 +856,34 @@ TEST(StealthServiceTest, CookieChangesDescriptorIds) {
 }
 
 TEST(StealthServiceTest, AuthorizedClientFetches) {
-  MiniNet net(40, 10 * util::kSecondsPerDay);
+  sim::World world(still_world(40));
   util::Rng rng(71);
-  auto host = hs::ServiceHost::create(rng, kT0);
   const std::vector<std::uint8_t> cookie = {0xde, 0xad, 0xbe, 0xef};
-  host.set_descriptor_cookie(cookie);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  const auto host = world.service(
+      world.add_service(crypto::KeyPair::generate(rng), cookie));
 
   hs::Client client(util::Ipv4(100, 2, 3, 4), 2001);
-  client.maintain(net.consensus, kT0);
-  const auto with_cookie = client.fetch_descriptor(
-      host.onion_address(), net.consensus, net.dirnet, kT0 + 10, cookie);
+  client.maintain(world.consensus(), kT0);
+  const auto with_cookie =
+      client.fetch_descriptor(host.onion_address(), world.consensus(),
+                              world.directories(), kT0 + 10, cookie);
   EXPECT_TRUE(with_cookie.found);
 }
 
 TEST(StealthServiceTest, UnauthorizedClientCannotDeriveId) {
-  MiniNet net(40, 10 * util::kSecondsPerDay);
+  sim::World world(still_world(40));
   util::Rng rng(72);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  host.set_descriptor_cookie({0xde, 0xad, 0xbe, 0xef});
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  const auto host = world.service(world.add_service(
+      crypto::KeyPair::generate(rng), {0xde, 0xad, 0xbe, 0xef}));
 
   hs::Client client(util::Ipv4(100, 2, 3, 5), 2002);
-  client.maintain(net.consensus, kT0);
+  client.maintain(world.consensus(), kT0);
   // Knows the onion address but not the cookie.
   const auto without = client.fetch_descriptor(
-      host.onion_address(), net.consensus, net.dirnet, kT0 + 10);
+      host.onion_address(), world.consensus(), world.directories(), kT0 + 10);
   EXPECT_FALSE(without.found);
   const auto wrong = client.fetch_descriptor(
-      host.onion_address(), net.consensus, net.dirnet, kT0 + 10,
+      host.onion_address(), world.consensus(), world.directories(), kT0 + 10,
       std::vector<std::uint8_t>{1, 2, 3});
   EXPECT_FALSE(wrong.found);
 }
@@ -765,12 +892,11 @@ TEST(StealthServiceTest, MeasuringHsdirCannotResolveCookieRequests) {
   // The Sec. V resolver derives descriptor IDs from harvested onion
   // addresses; an authenticated service's requests stay unresolvable —
   // one mechanism behind the paper's 80% unresolved request IDs.
-  MiniNet net(40, 10 * util::kSecondsPerDay);
+  sim::World world(still_world(40));
   util::Rng rng(73);
-  auto host = hs::ServiceHost::create(rng, kT0);
   const std::vector<std::uint8_t> cookie = {7, 7, 7, 7};
-  host.set_descriptor_cookie(cookie);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  const auto host = world.service(
+      world.add_service(crypto::KeyPair::generate(rng), cookie));
 
   // The analyst's derivation (onion-only) misses the service's actual
   // published ids.
@@ -832,31 +958,29 @@ namespace torsim {
 namespace {
 
 TEST(ClientCacheTest, SecondFetchSamePeriodServedFromCache) {
-  MiniNet net(40, 10 * util::kSecondsPerDay);
-  util::Rng rng(90);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
-  for (const auto& e : net.consensus.entries())
-    net.dirnet.store_for(e.relay).enable_logging(true);
-  const auto logged = [&net] {
+  sim::World world(still_world(40));
+  const auto host = world.service(world.add_service());
+  for (const auto& e : world.consensus().entries())
+    world.directories().store_for(e.relay).enable_logging(true);
+  const auto logged = [&world] {
     std::size_t total = 0;
-    for (const auto& e : net.consensus.entries())
-      total += net.dirnet.find_store(e.relay)->fetch_log().size();
+    for (const auto& e : world.consensus().entries())
+      total += world.directories().find_store(e.relay)->fetch_log().size();
     return total;
   };
 
   hs::Client client(util::Ipv4(100, 9, 9, 9), 3001);
-  client.maintain(net.consensus, kT0);
-  const auto first = client.fetch_descriptor(host.onion_address(),
-                                             net.consensus, net.dirnet,
-                                             kT0 + 10);
+  client.maintain(world.consensus(), kT0);
+  const auto first =
+      client.fetch_descriptor(host.onion_address(), world.consensus(),
+                              world.directories(), kT0 + 10);
   ASSERT_TRUE(first.found);
   EXPECT_FALSE(first.from_cache);
   const std::size_t logged_after_first = logged();
 
-  const auto second = client.fetch_descriptor(host.onion_address(),
-                                              net.consensus, net.dirnet,
-                                              kT0 + 600);
+  const auto second =
+      client.fetch_descriptor(host.onion_address(), world.consensus(),
+                              world.directories(), kT0 + 600);
   EXPECT_TRUE(second.found);
   EXPECT_TRUE(second.from_cache);
   EXPECT_EQ(second.descriptor_id, first.descriptor_id);
@@ -865,20 +989,19 @@ TEST(ClientCacheTest, SecondFetchSamePeriodServedFromCache) {
 }
 
 TEST(ClientCacheTest, CacheExpiresWithPeriod) {
-  MiniNet net(40, 10 * util::kSecondsPerDay);
-  util::Rng rng(91);
-  auto host = hs::ServiceHost::create(rng, kT0);
-  host.maybe_publish(net.consensus, net.dirnet, rng, kT0);
+  sim::World world(still_world(40));
+  const auto host = world.service(world.add_service());
   hs::Client client(util::Ipv4(100, 9, 9, 10), 3002);
-  client.maintain(net.consensus, kT0);
-  ASSERT_TRUE(client.fetch_descriptor(host.onion_address(), net.consensus,
-                                      net.dirnet, kT0 + 10)
+  client.maintain(world.consensus(), kT0);
+  ASSERT_TRUE(client.fetch_descriptor(host.onion_address(), world.consensus(),
+                                      world.directories(), kT0 + 10)
                   .found);
   const auto rotation =
       crypto::seconds_until_rotation(kT0, host.permanent_id());
   // New period: the cache must not serve the stale descriptor.
-  const auto stale = client.fetch_descriptor(
-      host.onion_address(), net.consensus, net.dirnet, kT0 + rotation + 5);
+  const auto stale =
+      client.fetch_descriptor(host.onion_address(), world.consensus(),
+                              world.directories(), kT0 + rotation + 5);
   EXPECT_FALSE(stale.from_cache);
   EXPECT_FALSE(stale.found);  // service has not republished yet
 }

@@ -58,8 +58,11 @@ class StoreDiff {
     }
     // Publish intervals of 1..26 hours: some services refresh every
     // hour, others let their descriptors reach the 24 h lifetime.
-    for (int s = 0; s < 52; ++s)
+    for (int s = 0; s < 52; ++s) {
       keys_.push_back(crypto::KeyPair::generate(rng_));
+      handles_.push_back(
+          world_.directories().add_key(keys_.back().public_bytes()));
+    }
   }
 
   void step(int hour) {
@@ -68,7 +71,8 @@ class StoreDiff {
     for (auto& [id, store] : oracles_) store.expire(now);
     for (std::size_t s = 0; s < keys_.size(); ++s) {
       const int interval = 1 + static_cast<int>(s % 26);
-      if ((hour + static_cast<int>(s)) % interval == 0) publish(keys_[s], now);
+      if ((hour + static_cast<int>(s)) % interval == 0)
+        publish(keys_[s], handles_[s], now);
     }
     fetch_unknown(now);
   }
@@ -137,7 +141,8 @@ class StoreDiff {
   }
 
  private:
-  void publish(const crypto::KeyPair& key, util::UnixTime now) {
+  void publish(const crypto::KeyPair& key, hsdir::KeyTable::Handle handle,
+               util::UnixTime now) {
     const dirauth::Consensus& consensus = world_.consensus();
     std::vector<crypto::Fingerprint> intros(rng_.index(4));
     for (auto& fp : intros) rng_.fill_bytes(fp.data(), fp.size());
@@ -153,7 +158,7 @@ class StoreDiff {
     }
     hsdir::DirectoryNetwork& dirnet = world_.directories();
     const std::size_t log_start = dirnet.failure_log().size();
-    dirnet.publish(descriptors, responsible);
+    dirnet.publish(handle, descriptors, responsible);
 
     // Per (descriptor, directory): what the failure log says happened.
     std::map<std::pair<std::uint64_t, std::uint64_t>, fault::FailureKind>
@@ -201,6 +206,7 @@ class StoreDiff {
   sim::World world_;
   util::Rng rng_;
   std::vector<crypto::KeyPair> keys_;
+  std::vector<hsdir::KeyTable::Handle> handles_;
   std::map<relay::RelayId, DescriptorStoreOracle> oracles_;
   std::size_t delayed_ = 0;
   std::size_t lost_ = 0;

@@ -258,11 +258,13 @@ TEST(ResolverTest, DictionaryCoversDerivationWindow) {
       }
   }
   ASSERT_EQ(ids.size(), pop.size() * 24);
-  const std::vector<std::optional<std::string>> got =
-      resolved().resolver.resolve_ids(ids);
+  const DescriptorResolver& resolver = resolved().resolver;
+  const std::vector<std::uint32_t> got = resolver.resolve_ids(ids);
   ASSERT_EQ(got.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    ASSERT_EQ(got[i], want[i]) << "id " << i;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_NE(got[i], DescriptorResolver::kUnresolved) << "id " << i;
+    ASSERT_EQ(resolver.onion(got[i]), want[i]) << "id " << i;
+  }
 }
 
 TEST(ResolverTest, UnresolvedShareMatchesPaper) {

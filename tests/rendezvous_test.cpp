@@ -8,6 +8,16 @@
 namespace torsim::hs {
 namespace {
 
+/// rendezvous_connect from `client` to World service `index`.
+RendezvousOutcome connect_to(Client& client, sim::World& world,
+                             std::size_t index,
+                             std::span<const std::uint8_t> cookie = {}) {
+  const auto service = world.service(index);
+  return rendezvous_connect(client, service.onion_address(), service.guards(),
+                            world.consensus(), world.directories(),
+                            world.rng(), world.now(), cookie);
+}
+
 struct RendezvousFixture {
   sim::World world;
   std::size_t service_index;
@@ -26,11 +36,10 @@ struct RendezvousFixture {
     client.maintain(world.consensus(), world.now());
   }
 
-  ServiceHost& service() { return world.service(service_index); }
+  sim::World::ServiceRef service() { return world.service(service_index); }
 
   RendezvousOutcome connect() {
-    return rendezvous_connect(client, service(), world.consensus(),
-                              world.directories(), world.rng(), world.now());
+    return connect_to(client, world, service_index);
   }
 };
 
@@ -86,9 +95,7 @@ TEST(RendezvousTest, FailsWithoutDescriptor) {
 TEST(RendezvousTest, FailsWithoutClientGuard) {
   RendezvousFixture fx;
   Client fresh(util::Ipv4(203, 0, 113, 10), 1);  // never maintained
-  const auto outcome = rendezvous_connect(
-      fresh, fx.service(), fx.world.consensus(), fx.world.directories(),
-      fx.world.rng(), fx.world.now());
+  const auto outcome = connect_to(fresh, fx.world, fx.service_index);
   EXPECT_FALSE(outcome.success);
   EXPECT_EQ(outcome.failure, RendezvousFailure::kNoClientGuard);
 }
@@ -101,9 +108,7 @@ TEST(RendezvousTest, FailsWithoutServiceGuard) {
   const auto index = world.add_service();  // guards never maintained
   Client client(util::Ipv4(203, 0, 113, 11), 2);
   client.maintain(world.consensus(), world.now());
-  const auto outcome = rendezvous_connect(
-      client, world.service(index), world.consensus(), world.directories(),
-      world.rng(), world.now());
+  const auto outcome = connect_to(client, world, index);
   EXPECT_FALSE(outcome.success);
   EXPECT_EQ(outcome.failure, RendezvousFailure::kNoServiceGuard);
 }
@@ -226,9 +231,7 @@ TEST(RendezvousTest, SurvivesHeavyChurn) {
     world.service(index).maintain_guards(world.consensus(), world.rng(),
                                          world.now());
     client.maintain(world.consensus(), world.now());
-    const auto outcome =
-        rendezvous_connect(client, world.service(index), world.consensus(),
-                           world.directories(), world.rng(), world.now());
+    const auto outcome = connect_to(client, world, index);
     ++attempts;
     successes += outcome.success;
   }
@@ -269,9 +272,7 @@ struct StallFixture {
   }
 
   RendezvousOutcome connect() {
-    return rendezvous_connect(client, world.service(service_index),
-                              world.consensus(), world.directories(),
-                              world.rng(), world.now());
+    return connect_to(client, world, service_index);
   }
 };
 
@@ -374,25 +375,20 @@ TEST(RendezvousTest, StealthServiceRequiresCookie) {
   config.honest_relays = 200;
   sim::World world(config);
 
-  auto service = ServiceHost::create(world.rng(), world.now());
   const std::vector<std::uint8_t> cookie = {1, 2, 3, 4};
-  service.set_descriptor_cookie(cookie);
-  service.maintain_guards(world.consensus(), world.rng(), world.now());
-  service.maybe_publish(world.consensus(), world.directories(), world.rng(),
-                        world.now(), true);
+  const auto index =
+      world.add_service(crypto::KeyPair::generate(world.rng()), cookie);
+  world.service(index).maintain_guards(world.consensus(), world.rng(),
+                                       world.now());
 
   Client member(util::Ipv4(203, 0, 113, 70), 5);
   member.maintain(world.consensus(), world.now());
-  const auto authed = rendezvous_connect(member, service, world.consensus(),
-                                         world.directories(), world.rng(),
-                                         world.now(), cookie);
+  const auto authed = connect_to(member, world, index, cookie);
   EXPECT_TRUE(authed.success) << to_string(authed.failure);
 
   Client outsider(util::Ipv4(203, 0, 113, 71), 6);
   outsider.maintain(world.consensus(), world.now());
-  const auto blind = rendezvous_connect(outsider, service, world.consensus(),
-                                        world.directories(), world.rng(),
-                                        world.now());
+  const auto blind = connect_to(outsider, world, index);
   EXPECT_FALSE(blind.success);
   EXPECT_EQ(blind.failure, RendezvousFailure::kNoDescriptor);
 }

@@ -163,10 +163,15 @@ void expect_same_dictionary(const DescriptorResolver& resolver,
                        ? std::nullopt
                        : std::optional<std::string>(it->second));
   }
-  const std::vector<std::optional<std::string>> got = resolver.resolve_ids(ids);
+  const std::vector<std::uint32_t> got = resolver.resolve_ids(ids);
   ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got[i], want[i]) << "id " << i;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::optional<std::string> onion =
+        got[i] == DescriptorResolver::kUnresolved
+            ? std::nullopt
+            : std::optional<std::string>(resolver.onion(got[i]));
+    EXPECT_EQ(onion, want[i]) << "id " << i;
+  }
 }
 
 /// Every id of the oracle's dictionary, in id order.

@@ -275,13 +275,15 @@ TEST(SerialEquivalenceTest, Tab2JoinIdentical) {
     popularity::DescriptorResolver resolver(
         popularity::ResolverConfig{.threads = threads});
     resolver.build_dictionary(onions);
-    const std::vector<std::optional<std::string>> got =
-        resolver.resolve_ids(ids);
+    const std::vector<std::uint32_t> got = resolver.resolve_ids(ids);
     ASSERT_EQ(got.size(), ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-      ASSERT_EQ(got[i],
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_NE(got[i], popularity::DescriptorResolver::kUnresolved)
+          << "id " << i;
+      ASSERT_EQ(resolver.onion(got[i]),
                 crypto::onion_address(onions[last_position.at(ids[i])]))
           << "id " << i;
+    }
     // A repeated onion renders the same text at both positions; had its
     // ids been split between them, that onion would fill two ranking
     // rows.

@@ -1,11 +1,11 @@
-// detlint — multi-pass shard-readiness analyzer for the torsim tree.
+// detlint — multi-pass determinism analyzer for the torsim tree.
 //
-// The whole reproduction rests on byte-identical replays: a scenario
-// seed must fully determine every CSV row, golden, and report — and the
-// next step on the roadmap (sharded million-service Worlds) adds a
-// second demand: simulator state must be cleanly partitionable. detlint
-// statically certifies both, as a pipeline of passes sharing one
-// tokenizer and per-file symbol sketch:
+// The whole reproduction rests on one invariant: byte-identical output
+// for every seed and every --threads value. A seed must fully determine
+// every CSV row, golden and report, and the worker count must never
+// show in them. detlint statically checks the code patterns that break
+// it, as a pipeline of passes sharing one tokenizer and per-file symbol
+// sketch:
 //
 //   determinism  the original PR-3 checks (banned-call, unordered-iter,
 //                pointer-key, float-accum, rng-parallel): no ambient
@@ -16,13 +16,13 @@
 //                `#include "..."` edge under src/ must be declared, and
 //                an edge against the layer order must carry a justified
 //                `backedge` grandfather entry. New coupling cannot
-//                sneak in ahead of the shard refactor.
+//                sneak in unreviewed.
 //   globals      census of namespace-scope / function-`static` /
 //                `thread_local` mutable state. Every hit must be
 //                allowlisted (with justification) in
-//                tools/detlint/globals_allowlist.txt — hidden
-//                process-wide state is exactly what sharding cannot
-//                tolerate.
+//                tools/detlint/globals_allowlist.txt — state shared by
+//                every run and thread of a process is where output can
+//                start to depend on call order or worker count.
 //   captures     inside lambdas handed to parallel_for/parallel_map:
 //                by-reference capture of a name that the body writes
 //                without a per-task index subscript. The order-lucky
@@ -167,7 +167,7 @@ std::vector<Finding> check_layers(
 /// One line of tools/detlint/globals_allowlist.txt:
 ///   path-substring symbol justification...
 /// The justification is mandatory — every piece of process-wide mutable
-/// state must say why it is safe to keep ahead of sharding.
+/// state must say why no output depends on it.
 struct GlobalsAllowEntry {
   std::string path_substring;
   std::string symbol;
