@@ -30,6 +30,14 @@ using PermanentId = std::array<std::uint8_t, 10>;
 /// A v2 descriptor identifier (a point on the 160-bit ring).
 using DescriptorId = Sha1Digest;
 
+/// The big-endian first 8 bytes of a digest (one load and a byte
+/// swap): digests with different prefixes order as their prefixes do.
+inline std::uint64_t prefix64(const Sha1Digest& digest) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < 8; ++i) value = (value << 8) | digest[i];
+  return value;
+}
+
 /// Number of descriptor replicas a v2 hidden service publishes.
 inline constexpr int kNumReplicas = 2;
 

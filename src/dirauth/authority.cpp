@@ -1,7 +1,6 @@
 #include "dirauth/authority.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "stats/descriptive.hpp"
 
@@ -31,46 +30,53 @@ FlagSet Authority::compute_flags(const relay::Relay& relay,
 
 Consensus Authority::build_consensus(const relay::Registry& registry,
                                      util::UnixTime now) const {
-  // Gather online relays grouped by IP. Ordered map: the group loop
-  // below emits consensus entries in iteration order, so hash order
-  // would leak straight into the consensus document.
-  std::map<util::Ipv4, std::vector<const relay::Relay*>> by_ip;
+  // Online relays grouped by IP with one sort: by address, then the
+  // election order within an address (higher measured bandwidth, then
+  // longer uptime, then lower id). Entries are emitted group by group
+  // in address order, as an ordered map of groups would.
+  struct Candidate {
+    util::Ipv4 address;
+    double bandwidth_kbps = 0.0;
+    util::Seconds uptime = 0;
+    const relay::Relay* relay = nullptr;
+  };
+  std::vector<Candidate> candidates;
   std::vector<double> bandwidths;
   for (const relay::Relay& r : registry.all()) {
     if (!r.online() || !r.authority_reachable()) continue;
-    by_ip[r.config().address].push_back(&r);
+    candidates.push_back({r.config().address, r.config().bandwidth_kbps,
+                          r.continuous_uptime(now), &r});
     bandwidths.push_back(r.config().bandwidth_kbps);
   }
   const double median_bw =
       bandwidths.empty() ? 0.0 : stats::median(bandwidths);
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.address != b.address) return a.address < b.address;
+              if (a.bandwidth_kbps != b.bandwidth_kbps)
+                return a.bandwidth_kbps > b.bandwidth_kbps;
+              if (a.uptime != b.uptime) return a.uptime > b.uptime;
+              return a.relay->id() < b.relay->id();
+            });
 
   std::vector<ConsensusEntry> entries;
-  for (auto& [ip, relays] : by_ip) {
-    // Active = top max_relays_per_ip by measured bandwidth (ties broken
-    // by longer uptime, then lower id, for determinism).
-    std::sort(relays.begin(), relays.end(),
-              [now](const relay::Relay* a, const relay::Relay* b) {
-                if (a->config().bandwidth_kbps != b->config().bandwidth_kbps)
-                  return a->config().bandwidth_kbps > b->config().bandwidth_kbps;
-                const auto ua = a->continuous_uptime(now);
-                const auto ub = b->continuous_uptime(now);
-                if (ua != ub) return ua > ub;
-                return a->id() < b->id();
-              });
-    const std::size_t keep = std::min<std::size_t>(
-        relays.size(), static_cast<std::size_t>(policy_.max_relays_per_ip));
-    for (std::size_t i = 0; i < keep; ++i) {
-      const relay::Relay& r = *relays[i];
-      ConsensusEntry e;
-      e.relay = r.id();
-      e.fingerprint = r.fingerprint();
-      e.nickname = r.config().nickname;
-      e.address = r.config().address;
-      e.or_port = r.config().or_port;
-      e.bandwidth_kbps = r.config().bandwidth_kbps;
-      e.flags = compute_flags(r, median_bw, now);
-      entries.push_back(std::move(e));
-    }
+  const auto keep = static_cast<std::size_t>(policy_.max_relays_per_ip);
+  std::size_t rank = 0;  // position within the current address's group
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    rank = i > 0 && candidates[i].address == candidates[i - 1].address
+               ? rank + 1
+               : 0;
+    if (rank >= keep) continue;
+    const relay::Relay& r = *candidates[i].relay;
+    ConsensusEntry e;
+    e.relay = r.id();
+    e.fingerprint = r.fingerprint();
+    e.nickname = r.config().nickname;
+    e.address = r.config().address;
+    e.or_port = r.config().or_port;
+    e.bandwidth_kbps = r.config().bandwidth_kbps;
+    e.flags = compute_flags(r, median_bw, now);
+    entries.push_back(std::move(e));
   }
   return Consensus(now, std::move(entries));
 }

@@ -5,18 +5,6 @@
 
 namespace torsim::dirauth {
 
-namespace {
-
-// Big-endian first 8 bytes of a digest — the eytzinger node key
-// (compiles to one load + byte swap).
-std::uint64_t prefix_of(const crypto::Sha1Digest& digest) {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < 8; ++i) value = (value << 8) | digest[i];
-  return value;
-}
-
-}  // namespace
-
 RingIndex::RingIndex(std::vector<crypto::Fingerprint> ring_fingerprints,
                      std::vector<std::uint32_t> entry_indices)
     : sorted_(std::move(ring_fingerprints)),
@@ -31,7 +19,7 @@ RingIndex::RingIndex(std::vector<crypto::Fingerprint> ring_fingerprints,
   const auto fill = [&](auto&& self, std::size_t k) -> void {
     if (k > n) return;
     self(self, 2 * k);
-    eytz_[k] = prefix_of(sorted_[rank]);
+    eytz_[k] = crypto::prefix64(sorted_[rank]);
     eytz_rank_[k] = static_cast<std::uint32_t>(rank);
     ++rank;
     self(self, 2 * k + 1);
@@ -43,7 +31,7 @@ RingIndex::RingIndex(std::vector<crypto::Fingerprint> ring_fingerprints,
 std::size_t RingIndex::first_after(const crypto::Sha1Digest& id) const {
   const std::size_t n = sorted_.size();
   if (n == 0) return 0;
-  const std::uint64_t p = prefix_of(id);
+  const std::uint64_t p = crypto::prefix64(id);
   // Branch-free descent for the prefix upper bound: go right while the
   // node key is <= p. The answer is the last node where the descent
   // went left; cancelling the trailing right-turns (low 1-bits) of the
@@ -63,7 +51,9 @@ std::size_t RingIndex::first_after(const crypto::Sha1Digest& id) const {
   // keys just below r; resolve those ties against the full 20-byte
   // fingerprints (vanishingly rare for random fingerprints, but exact
   // for duplicates and adversarial keys).
-  while (r > 0 && prefix_of(sorted_[r - 1]) == p && id < sorted_[r - 1]) --r;
+  while (r > 0 && crypto::prefix64(sorted_[r - 1]) == p &&
+         id < sorted_[r - 1])
+    --r;
   return r;
 }
 

@@ -1,7 +1,9 @@
 // The distributed descriptor directory: one DescriptorStore per relay,
 // in a vector indexed by simulator relay id (ids are dense, see
 // relay::Registry::create), and one append-only KeyTable all stores
-// share. Publish/fetch route via the consensus ring.
+// share. Publish/fetch route via the consensus ring. Publish queues its
+// uploads; apply_uploads merges them into the stores, fanned out over
+// the receiving stores (docs/concurrency.md).
 #pragma once
 
 #include <span>
@@ -38,17 +40,22 @@ class DirectoryNetwork {
   DirectoryNetwork(const DirectoryNetwork&) = delete;
   DirectoryNetwork& operator=(const DirectoryNetwork&) = delete;
 
-  /// The store operated by relay `id` (created on first use). Throws
-  /// std::out_of_range for relay::kInvalidRelayId.
+  /// The store operated by relay `id` (created on first use), after
+  /// applying any queued uploads. Throws std::out_of_range for
+  /// relay::kInvalidRelayId.
   DescriptorStore& store_for(relay::RelayId id);
 
   /// The store operated by relay `id` (empty if it never received a
-  /// descriptor), or nullptr when store_for never reached `id`. Never
-  /// creates a store.
+  /// descriptor), or nullptr when neither store_for nor publish ever
+  /// reached `id`. Never creates a store. The mutable form applies any
+  /// queued uploads first; the const form never writes and throws
+  /// std::logic_error while uploads are queued.
   const DescriptorStore* find_store(relay::RelayId id) const {
+    require_applied();
     return id < stores_.size() ? &stores_[id] : nullptr;
   }
   DescriptorStore* find_store(relay::RelayId id) {
+    apply_uploads();
     return id < stores_.size() ? &stores_[id] : nullptr;
   }
 
@@ -83,26 +90,47 @@ class DirectoryNetwork {
   /// is retried (bounded, exponential backoff) when lost; uploads still
   /// lost after the final attempt are surfaced in failure_log() as
   /// kPublishLost, and delayed uploads are stored but only fetchable
-  /// after the delay.
+  /// after the delay. Receivers, fault decisions and the failure log
+  /// are settled here; the copies themselves are queued, one flat
+  /// upload per directory, until apply_uploads (which every mutable
+  /// store accessor runs first).
   std::vector<relay::RelayId> publish(
       KeyTable::Handle key, std::span<const Descriptor> descriptors,
       std::span<const dirauth::ResponsibleSet> responsible);
+
+  /// Writes every queued upload into its store, as if each had been
+  /// stored on its own in publish order: the last upload of an id to a
+  /// store wins. Each receiving store merges its run in two passes
+  /// (DescriptorStore::refresh, then insert_fresh), each fanned out
+  /// over the receiving stores on up to `threads` threads
+  /// (util::resolve_threads); between them the stores grow, on the
+  /// calling thread, by exactly their new ids, so the workers never
+  /// allocate. When every store receives one upload, each is put on
+  /// the calling thread instead. Costs O(uploads + receiving stores)
+  /// besides the merges.
+  void apply_uploads(int threads = 1);
+
+  /// Uploads queued by publish and not yet applied.
+  std::size_t queued_uploads() const { return uploads_.size(); }
 
   /// Fetches `id` from one responsible HSDir under `consensus`;
   /// `hsdir_relay` receives the id of the directory that answered (or
   /// the last one tried). Tries the responsible set in the given
   /// preference order (already shuffled by the caller if desired).
   /// Directories inside an injected outage window are skipped and
-  /// counted in `trace` (when given) so callers can retry.
+  /// counted in `trace` (when given) so callers can retry. Applies any
+  /// queued uploads first.
   std::optional<Descriptor> fetch_from(
       const dirauth::Consensus& consensus, const crypto::DescriptorId& id,
       util::UnixTime now, relay::RelayId& hsdir_relay,
       FetchTrace* trace = nullptr);
 
-  /// Runs expiry on every store.
-  void expire_all(util::UnixTime now);
+  /// Applies any queued uploads, then runs expiry on every store, on
+  /// up to `threads` threads.
+  void expire_all(util::UnixTime now, int threads = 1);
 
-  /// Descriptors held across all stores.
+  /// Descriptors held across all stores. Throws std::logic_error while
+  /// uploads are queued.
   std::size_t descriptors_stored() const;
 
   /// Typed failures observed by publish/fetch since the last clear.
@@ -110,9 +138,23 @@ class DirectoryNetwork {
   void clear_failure_log() { failure_log_.clear(); }
 
  private:
+  /// Grows stores_ to cover relay `id`.
+  void add_stores_through(relay::RelayId id);
+  void require_applied() const;
+
   DirectoryNetworkConfig config_;
   KeyTable keys_;
   std::vector<DescriptorStore> stores_;  ///< indexed by relay id
+  // The upload queue. Its buffers keep their capacity between applies.
+  /// One record per replica, and one more per replica that some
+  /// directory indexes late.
+  std::vector<DescriptorStore::Record> queued_;
+  std::vector<QueuedUpload> uploads_;  ///< one per receiving directory
+  /// The stores with queued uploads, in order of their first upload.
+  std::vector<relay::RelayId> receiving_;
+  std::vector<std::uint32_t> run_ends_;  ///< by relay id; see apply_uploads
+  std::vector<QueuedUpload> grouped_;    ///< uploads_ grouped by store
+  std::vector<std::size_t> fresh_;       ///< new ids per receiving store
   const fault::FaultInjector* injector_ = nullptr;
   fault::FailureLog failure_log_;
 };

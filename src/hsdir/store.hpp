@@ -9,7 +9,10 @@
 // DirectoryNetwork shares. The caller adds each key to the table once
 // and names it by that handle from then on, so a key is held once
 // however many directories and replicas carry it. Nothing is allocated
-// per record.
+// per record. Writes arrive as runs: DirectoryNetwork queues its
+// uploads and merges each directory's run into its store in two
+// passes (refresh, then insert_fresh); a run of one, and a single
+// store(), is one put().
 #pragma once
 
 #include <array>
@@ -83,6 +86,19 @@ struct DescriptorView {
   KeyTable::Handle key = 0;
 };
 
+/// One upload DirectoryNetwork::publish queued: queued descriptor
+/// record `record` (its visible_after included) goes to the store of
+/// relay `directory`. `id_prefix` is crypto::prefix64 of the record's
+/// id, so a store sorts its run without reading the records.
+struct QueuedUpload {
+  std::uint64_t id_prefix = 0;
+  std::uint32_t directory = 0;
+  std::uint32_t record = 0;
+  /// Set by DescriptorStore::refresh for an id the store does not hold:
+  /// the index of the first held record above it.
+  std::uint32_t at = 0;
+};
+
 class DirectoryNetwork;
 
 class DescriptorStore {
@@ -95,9 +111,7 @@ class DescriptorStore {
   /// Throws, leaving the store unchanged, std::out_of_range when the
   /// table holds no entry `key` and std::invalid_argument when the
   /// descriptor carries more than kMaxIntroPoints introduction points.
-  void store(const Descriptor& descriptor, KeyTable::Handle key) {
-    store(descriptor, key, descriptor.visible_after);
-  }
+  void store(const Descriptor& descriptor, KeyTable::Handle key);
 
   /// Looks a descriptor up by id, honouring expiry at time `now`.
   /// If logging is enabled the request is recorded either way.
@@ -114,7 +128,8 @@ class DescriptorStore {
   /// `now` (the paper: directories "erase its descriptor from memory"
   /// after the responsibility period). Returns without walking the
   /// store while its oldest `published` time is still within the
-  /// lifetime.
+  /// lifetime; otherwise one pass both compacts the store and finds
+  /// the new oldest time.
   void expire(util::UnixTime now);
 
   /// Enables request logging (what a measuring/malicious HSDir does).
@@ -152,10 +167,36 @@ class DescriptorStore {
     std::array<crypto::Fingerprint, kMaxIntroPoints> introduction_points{};
   };
 
-  /// store() with the directory's own visible_after
-  /// (DirectoryNetwork::publish delays per directory).
-  void store(const Descriptor& descriptor, KeyTable::Handle key,
-             util::UnixTime visible_after);
+  /// The record for `descriptor` under key handle `key`; checks
+  /// nothing (store() and DirectoryNetwork::publish check first).
+  static Record to_record(const Descriptor& descriptor,
+                          KeyTable::Handle key);
+
+  /// A run of one upload: one binary search, then an overwrite or one
+  /// shift of the records above it. May allocate.
+  void put(const Record& record);
+
+  // A longer run of uploads is merged in two passes, with the store
+  // grown by exactly the number of new ids in between. Neither pass
+  // allocates, so DirectoryNetwork fans both out across the stores; it
+  // grows them on its own thread.
+
+  /// The first pass: sorts `run` by id and queue order in place and
+  /// applies, of each id, only its last upload (queued[u.record]). A
+  /// held id is refreshed where it sits; the uploads of new ids move,
+  /// still sorted, to the front of the run with their insertion points
+  /// in `at`. Returns how many ids are new.
+  std::size_t refresh(std::span<QueuedUpload> run,
+                      std::span<const Record> queued);
+
+  /// Appends `slots` records for the next insert_fresh().
+  void grow(std::size_t slots) { records_.resize(records_.size() + slots); }
+
+  /// The second pass, after grow(fresh.size()): inserts the new ids
+  /// refresh() put at the front of the run, from the back, so each
+  /// held record moves at most once, straight to its final slot.
+  void insert_fresh(std::span<const QueuedUpload> fresh,
+                    std::span<const Record> queued);
 
   /// The record for `id`, or nullptr.
   const Record* find(const crypto::DescriptorId& id) const;

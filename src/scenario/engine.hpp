@@ -20,9 +20,9 @@
 namespace torsim::scenario {
 
 struct ScenarioRunConfig {
-  /// Forwarded to sim::WorldConfig::threads, which the World no longer
-  /// reads (its publish path has no fan-out). Outputs are identical for
-  /// every value.
+  /// Forwarded to sim::WorldConfig::threads: the fan-out width of each
+  /// World hour (docs/concurrency.md). Outputs are identical for every
+  /// value.
   int threads = 0;
   /// Overrides the pack's baseline `faults` directive when non-empty
   /// (the CLI's --faults knob; parsed by fault::FaultPlan::parse).

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/encoding.hpp"
+#include "util/parallel.hpp"
 
 namespace torsim::sim {
 
@@ -16,6 +17,7 @@ World::World(WorldConfig config)
     : config_(config),
       clock_(config.start != 0 ? config.start : default_start_time()),
       rng_(config.seed),
+      threads_(util::resolve_threads(config.threads)),
       authority_(config.authority_policy),
       dirnet_(hsdir::DirectoryNetworkConfig{.metrics = config.metrics}) {
   if (config_.faults.enabled()) {
@@ -71,7 +73,21 @@ void World::apply_churn() {
 }
 
 void World::publish_services() {
-  for (std::size_t i = 0; i < service_count(); ++i) publish(i);
+  // Every service's period, ids and responsible sets, in parallel
+  // against the read-only consensus (each task writes only its own
+  // service's slots); then the republishes in index order, which is
+  // where every RNG draw happens. The scratch columns grow here, on
+  // the calling thread.
+  const std::size_t n = service_count();
+  hour_responsible_.resize(n);
+  hour_republish_.resize(n);
+  // detlint: hot
+  util::parallel_for(n, threads_, [&](std::size_t i) {
+    hour_republish_[i] = needs_publish(i, false, hour_responsible_[i]);
+  });
+  for (std::size_t i = 0; i < n; ++i)
+    if (hour_republish_[i] != 0) commit_publish(i, hour_responsible_[i]);
+  dirnet_.apply_uploads(threads_);
 }
 
 void World::set_churn_rates(double down_probability, double up_probability) {
@@ -124,7 +140,7 @@ void World::step_hour() {
   apply_churn();
   rebuild_consensus();
   publish_services();
-  dirnet_.expire_all(clock_.now());
+  dirnet_.expire_all(clock_.now(), threads_);
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& m = *config_.metrics;
     m.counter("sim.hours_stepped").inc();
@@ -192,12 +208,9 @@ World::DescriptorIds World::descriptor_ids_at(std::size_t index,
 
 namespace {
 
-using ResponsibleSets =
-    std::array<dirauth::ResponsibleSet, crypto::kNumReplicas>;
-
 // True when `sets`, flattened replica by replica, lists exactly the
 // fingerprints in `fingerprints`.
-bool same_directories(const ResponsibleSets& sets,
+bool same_directories(std::span<const dirauth::ResponsibleSet> sets,
                       std::span<const crypto::Fingerprint> fingerprints) {
   std::size_t k = 0;
   for (const dirauth::ResponsibleSet& set : sets) {
@@ -213,7 +226,17 @@ bool same_directories(const ResponsibleSets& sets,
 }  // namespace
 
 std::vector<relay::RelayId> World::publish(std::size_t index, bool force) {
-  if (online_[index] == 0) return {};
+  ResponsibleSets responsible;
+  if (!needs_publish(index, force, responsible)) return {};
+  auto receivers = commit_publish(index, responsible);
+  dirnet_.apply_uploads(threads_);
+  return receivers;
+}
+
+// detlint: hot
+bool World::needs_publish(std::size_t index, bool force,
+                          ResponsibleSets& responsible) {
+  if (online_[index] == 0) return false;
   const util::UnixTime now = clock_.now();
   const crypto::PermanentId& permanent_id = permanent_ids_[index];
   const std::uint32_t period = crypto::time_period(now, permanent_id);
@@ -225,18 +248,21 @@ std::vector<relay::RelayId> World::publish(std::size_t index, bool force) {
   const DescriptorIds& ids = ids_[index];
 
   // The currently responsible HSDirs for both replicas.
-  ResponsibleSets responsible;
   for (std::size_t replica = 0; replica < responsible.size(); ++replica) {
     dirauth::ResponsibleSet& set = responsible[replica];
     set.count = static_cast<std::uint8_t>(consensus_.responsible_hsdirs_into(
         ids[replica], set.dirs.data(), set.dirs.size()));
   }
-  auto& last_responsible = last_responsible_[index];
-  const bool ring_shifted =
-      !same_directories(responsible, last_responsible.items());
-  if (published_once_[index] != 0 && period == last_periods_[index] &&
-      !ring_shifted && !force)
-    return {};
+  return published_once_[index] == 0 || period != last_periods_[index] ||
+         force ||
+         !same_directories(responsible, last_responsible_[index].items());
+}
+
+std::vector<relay::RelayId> World::commit_publish(
+    std::size_t index, const ResponsibleSets& responsible) {
+  const util::UnixTime now = clock_.now();
+  const std::uint32_t period = ids_periods_[index];
+  const DescriptorIds& ids = ids_[index];
 
   // Sample 3 introduction points among Fast relays.
   auto& intro_points = intro_points_[index];
@@ -250,11 +276,10 @@ std::vector<relay::RelayId> World::publish(std::size_t index, bool force) {
 
   // The directories read the key from the key table by handle (the
   // service index), so the descriptors carry none.
-  std::array<hsdir::Descriptor, crypto::kNumReplicas> descriptors;
-  for (std::size_t replica = 0; replica < descriptors.size(); ++replica) {
-    hsdir::Descriptor& d = descriptors[replica];
+  for (std::size_t replica = 0; replica < descriptors_.size(); ++replica) {
+    hsdir::Descriptor& d = descriptors_[replica];
     d.descriptor_id = ids[replica];
-    d.permanent_id = permanent_id;
+    d.permanent_id = permanent_ids_[index];
     d.introduction_points.assign(intro_points.items().begin(),
                                  intro_points.items().end());
     d.replica = static_cast<std::uint8_t>(replica);
@@ -264,6 +289,7 @@ std::vector<relay::RelayId> World::publish(std::size_t index, bool force) {
 
   last_periods_[index] = period;
   published_once_[index] = 1;
+  auto& last_responsible = last_responsible_[index];
   last_responsible.count = 0;
   std::array<relay::RelayId, kMaxResponsible> responsible_relays{};
   std::size_t responsible_count = 0;
@@ -273,8 +299,8 @@ std::vector<relay::RelayId> World::publish(std::size_t index, bool force) {
       responsible_relays[responsible_count++] = set.dirs[i]->relay;
     }
   }
-  const auto receivers = dirnet_.publish(
-      static_cast<hsdir::KeyTable::Handle>(index), descriptors, responsible);
+  auto receivers = dirnet_.publish(
+      static_cast<hsdir::KeyTable::Handle>(index), descriptors_, responsible);
 
   // Typed outcome: directories the upload never reached despite the
   // network's bounded retries (receivers is deduplicated, so compare

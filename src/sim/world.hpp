@@ -94,9 +94,11 @@ struct WorldConfig {
   /// costs memory on multi-year simulations, so it is switchable).
   bool record_archive = true;
   dirauth::AuthorityPolicy authority_policy{};
-  /// Unread: the World has no parallel section since each service hands
-  /// publish the ring walks it already made (docs/concurrency.md). Kept
-  /// so callers that forward their --threads value still compile.
+  /// Fan-out width of the hour (util::resolve_threads: <= 0 means one
+  /// per hardware thread). Two call sites use it: step_hour's per-service
+  /// ring walks, and DirectoryNetwork::apply_uploads / expire_all over
+  /// the stores (docs/concurrency.md). Outputs are byte-identical for
+  /// every value.
   int threads = 0;
   /// Injected directory/circuit faults (default: none). When enabled the
   /// world owns a FaultInjector and wires it into the directory network;
@@ -282,7 +284,9 @@ class World {
   /// Draws three introduction points among Fast relays of the
   /// consensus, then one guard pick per receiving directory. Returns
   /// the relay ids that received copies (empty if nothing was
-  /// published, and always for an offline service).
+  /// published, and always for an offline service). The copies are in
+  /// the stores when it returns: no public World call leaves an upload
+  /// queued in directories().
   std::vector<relay::RelayId> publish(std::size_t index, bool force = false);
 
   // --- read-only query surface (src/serve) --------------------------
@@ -349,12 +353,30 @@ class World {
   }
 
  private:
+  using ResponsibleSets =
+      std::array<dirauth::ResponsibleSet, crypto::kNumReplicas>;
+
   void apply_churn();
+  /// The hour's republishes: needs_publish for every service in
+  /// parallel, then commit_publish in index order, then one apply of
+  /// the queued uploads.
   void publish_services();
+  /// Brings service `index`'s period and descriptor ids up to date,
+  /// walks the ring into `responsible`, and says whether the service
+  /// must (re)publish. Writes only the service's own columns and draws
+  /// nothing, so step_hour runs it for all services at once.
+  bool needs_publish(std::size_t index, bool force,
+                     ResponsibleSets& responsible);
+  /// Draws the introduction points and guards of one publish and
+  /// queues its uploads with the directory network; returns the
+  /// receiving relay ids.
+  std::vector<relay::RelayId> commit_publish(
+      std::size_t index, const ResponsibleSets& responsible);
 
   WorldConfig config_;
   util::Clock clock_;
   util::Rng rng_;
+  int threads_;  ///< config_.threads, resolved
   relay::Registry registry_;
   dirauth::Authority authority_;
   dirauth::Consensus consensus_;
@@ -401,6 +423,12 @@ class World {
   std::vector<int> publish_lost_;
   std::vector<util::Ipv4> addresses_;
   std::vector<hs::GuardManager> guards_;
+
+  // Per-hour scratch, reused: publish_services's responsible sets and
+  // republish flags by service index, and commit_publish's descriptors.
+  std::vector<ResponsibleSets> hour_responsible_;
+  std::vector<std::uint8_t> hour_republish_;
+  std::array<hsdir::Descriptor, crypto::kNumReplicas> descriptors_;
 
   std::vector<bool> churn_exempt_;
   bool authority_online_ = true;

@@ -452,6 +452,12 @@ TEST(DirectoryNetworkTest, PublishRejectsUnknownKeyHandle) {
   EXPECT_TRUE(net.dirnet.failure_log().empty());
 
   EXPECT_FALSE(net.dirnet.publish(handle, descriptors, responsible).empty());
+  // Publish queues one upload per copy; the stores see them once
+  // applied, and reading the count before that throws.
+  EXPECT_EQ(net.dirnet.queued_uploads(), copies);
+  EXPECT_THROW(net.dirnet.descriptors_stored(), std::logic_error);
+  net.dirnet.apply_uploads();
+  EXPECT_EQ(net.dirnet.queued_uploads(), 0u);
   EXPECT_EQ(net.dirnet.descriptors_stored(), copies);
   EXPECT_EQ(net.dirnet.keys().size(), 1u);
 }

@@ -352,5 +352,130 @@ TEST(SerialEquivalenceTest, HarvestMetricsAndTraceByteIdentical) {
   }
 }
 
+// ---------------------------------------------------------------------
+// The World hour: step_hour walks every service's ring in parallel and
+// applies the queued uploads store by store over WorldConfig::threads.
+// Everything the World leaves behind must be the same bytes at every
+// thread count, through churn, an authority outage, a harvester
+// rotation and a fault plan that loses and delays uploads.
+// ---------------------------------------------------------------------
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  return util::hex_encode(bytes);
+}
+
+/// Every store's walk and fetch log, the failure log, each service's
+/// last publish, the consensus archive and the harvest report.
+std::string world_state_bytes(sim::World& world,
+                              const attack::HarvestReport& report) {
+  std::string out;
+  const auto line = [&out](const std::string& text) { out += text + "\n"; };
+  hsdir::DirectoryNetwork& dirnet = world.directories();
+  for (relay::RelayId id = 0; id < world.registry().size(); ++id) {
+    const hsdir::DescriptorStore* store = dirnet.find_store(id);
+    if (store == nullptr) continue;
+    line("store " + std::to_string(id));
+    store->for_each_descriptor([&](const hsdir::DescriptorView& d) {
+      line(" held " + hex(d.descriptor_id) + " " +
+           std::to_string(d.published) + " key " + std::to_string(d.key));
+    });
+    for (const hsdir::FetchRecord& f : store->fetch_log())
+      line(" fetch " + hex(f.descriptor_id) + " " + std::to_string(f.time) +
+           (f.found ? " found" : " miss"));
+  }
+  for (const fault::FailureRecord& f : dirnet.failure_log())
+    line("failure " + std::to_string(static_cast<int>(f.kind)) + " " +
+         std::to_string(f.key) + " " + std::to_string(f.detail) + " " +
+         std::to_string(f.attempt));
+  for (std::size_t i = 0; i < world.service_count(); ++i) {
+    const auto service = world.service(i);
+    std::string text = "service " + std::to_string(i) + " period " +
+                       std::to_string(service.last_published_period()) +
+                       " lost " + std::to_string(service.last_publish_lost());
+    for (const crypto::Fingerprint& fp : service.introduction_points())
+      text += " intro " + hex(fp);
+    for (const sim::PublishRecord& r : service.last_publish_records())
+      text += " upload " + std::to_string(r.hsdir) + "/" +
+              std::to_string(r.guard);
+    line(text);
+  }
+  for (std::size_t c = 0; c < world.archive().size(); ++c) {
+    const dirauth::Consensus& consensus = world.archive().at(c);
+    line("consensus " + std::to_string(consensus.valid_after()));
+    for (const dirauth::ConsensusEntry& e : consensus.entries())
+      line(" " + std::to_string(e.relay) + " " + hex(e.fingerprint) + " " +
+           std::to_string(e.flags));
+  }
+  for (const std::string& onion : report.onions) line("onion " + onion);
+  line("harvest " + std::to_string(report.descriptors_collected) + " " +
+       std::to_string(report.fetch_requests_logged) + " " +
+       std::to_string(report.positions_used));
+  return out;
+}
+
+std::string world_hour_bytes(int threads) {
+  sim::WorldConfig config;
+  config.seed = 31;
+  config.honest_relays = 150;
+  config.hourly_down_probability = 0.05;
+  config.hourly_up_probability = 0.3;
+  config.threads = threads;
+  config.faults.publish_loss_rate = 0.2;
+  config.faults.publish_delay_rate = 0.3;
+  sim::World world(config);
+  for (int i = 0; i < 240; ++i) world.add_service();
+  // Some honest directories log requests, like the paper's measuring
+  // HSDirs; the harvester's relays log too.
+  for (relay::RelayId id = 0; id < 150; id += 5)
+    world.directories().store_for(id).enable_logging(true);
+  // A client fetch of every seventh service's first replica.
+  const auto fetch_round = [&world] {
+    for (std::size_t i = 0; i < world.service_count(); i += 7) {
+      const auto ids = world.service(i).current_descriptor_ids(world.now());
+      relay::RelayId answered = relay::kInvalidRelayId;
+      world.directories().fetch_from(world.consensus(), ids[0], world.now(),
+                                     answered);
+    }
+  };
+  for (int hour = 0; hour < 4; ++hour) {
+    world.step_hour();
+    fetch_round();
+  }
+  // The authorities go dark for three hours while relays churn on.
+  world.set_authority_online(false);
+  for (int hour = 0; hour < 3; ++hour) {
+    world.step_hour();
+    fetch_round();
+  }
+  world.set_authority_online(true);
+  attack::ShadowHarvester harvester(
+      attack::HarvesterConfig{.num_ips = 3, .relays_per_ip = 4});
+  harvester.deploy(world);
+  const attack::HarvestReport report = harvester.run(world, 8);
+  fetch_round();
+  world.step_hour();
+  fetch_round();
+  return world_state_bytes(world, report);
+}
+
+TEST(SerialEquivalenceTest, WorldHourByteIdenticalAcrossThreads) {
+  const std::string serial = world_hour_bytes(1);
+  // The run exercised what it claims to: lost and delayed uploads,
+  // logged fetches and a harvest.
+  EXPECT_NE(serial.find("failure " + std::to_string(static_cast<int>(
+                            fault::FailureKind::kPublishLost))),
+            std::string::npos);
+  EXPECT_NE(serial.find("failure " + std::to_string(static_cast<int>(
+                            fault::FailureKind::kPublishDelayed))),
+            std::string::npos);
+  EXPECT_NE(serial.find(" found"), std::string::npos);
+  EXPECT_NE(serial.find("onion "), std::string::npos);
+  for (int threads : {2, 4}) {
+    const std::string parallel = world_hour_bytes(threads);
+    EXPECT_EQ(serial.size(), parallel.size()) << threads << " threads";
+    EXPECT_TRUE(serial == parallel) << threads << " threads";
+  }
+}
+
 }  // namespace
 }  // namespace torsim
